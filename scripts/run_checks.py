@@ -5,7 +5,8 @@ Covers the three bound checks that back the rate analysis:
   * likelihood-approximation gap between a statistic and its cuboid center
     (bounded by 2*kappa*s, checked over every composition)
   * class-size sandwich |log2 |T| - r| with a constant fitted at the
-    smallest blocklength and required to hold at the larger ones
+    smallest blocklength and required to hold at the larger ones; the
+    script exits 1 if any sweep prints VIOLATED
   * Monte Carlo normality of the plug-in self-information (A/sqrt(n) decay)
 """
 
@@ -46,6 +47,7 @@ def main(argv=None) -> int:
     print("== class-size sandwich (constant fitted at n=8) ==")
     wide = {name: FamilySpec.create(list(fam.tau), rho_max=14.0)
             for name, fam in families.items()}
+    violated = False
     for name, fam in wide.items():
         for s in (0.5, 1.0, 2.0):
             g8 = Grid.create(n=8, s=s, d=fam.d)
@@ -57,7 +59,9 @@ def main(argv=None) -> int:
                 devs.append(max_sandwich_deviation(
                     fam, grid, build_type_index(fam, n, grid)))
             bound = 2 * fam.kappa * s + cstar
-            status = "ok" if all(d <= bound + 1e-9 for d in devs) else "VIOLATED"
+            ok = all(d <= bound + 1e-9 for d in devs)
+            violated = violated or not ok
+            status = "ok" if ok else "VIOLATED"
             print(f"  {name} s={s}: C*={cstar:.3f} deviations "
                   f"{['%.3f' % d for d in devs]} bound {bound:.3f} {status}")
 
@@ -66,7 +70,7 @@ def main(argv=None) -> int:
     for n in (64, 256, 1024):
         dev = normality_check(src, n, args.samples, seed=args.seed)
         print(f"  n={n:>5}: sup deviation {dev:.5f}  x sqrt(n) = {dev * math.sqrt(n):.4f}")
-    return 0
+    return 1 if violated else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import numpy as np
 from . import container as containerfmt
 from .codec import ClassOrdering
 from .errors import BudgetError, ContainerError, SchemaError, SpecError
-from .markov import markov_third_order_fit, markov_type_index
+from .markov import markov_m_eps, markov_third_order_fit, markov_type_index
 from .pointtypes import derive_lattice, point_type_index
 from .quantized import Grid, build_type_index
 from .rates import (
@@ -147,20 +147,18 @@ def _read_sequence(path: Path) -> tuple[int, ...]:
         raise SchemaError(f"sequence file {path} must contain integer symbols") from None
 
 
-def _build_ordering(cfg: RunConfig, n: int) -> ClassOrdering:
+def _build_index(cfg: RunConfig, n: int):
     if cfg.mode == "markov":
         ms = cfg.spec.markov
         grid = Grid.create(n=n, s=cfg.s, d=ms.d, anchor=cfg.anchor)
-        index = markov_type_index(ms, n, grid, budget_paths=cfg.budget_paths)
-    elif cfg.mode == "point":
+        return markov_type_index(ms, n, grid, budget_paths=cfg.budget_paths)
+    if cfg.mode == "point":
         lmap = derive_lattice(cfg.spec.stat_map)
-        index = point_type_index(cfg.spec.family, lmap, n,
-                                 budget=cfg.budget_compositions)
-    else:
-        fam = cfg.spec.family
-        grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
-        index = build_type_index(fam, n, grid, budget=cfg.budget_compositions)
-    return ClassOrdering(index)
+        return point_type_index(cfg.spec.family, lmap, n,
+                                budget=cfg.budget_compositions)
+    fam = cfg.spec.family
+    grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
+    return build_type_index(fam, n, grid, budget=cfg.budget_compositions)
 
 
 def cmd_validate(args) -> int:
@@ -193,8 +191,7 @@ def cmd_validate(args) -> int:
 def cmd_encode(args) -> int:
     cfg = _build_config(args, need_n=False)
     seq = _read_sequence(Path(args.input))
-    ordering = _build_ordering(cfg, len(seq))
-    codeword = ordering.encode(seq)
+    codeword = ClassOrdering(_build_index(cfg, len(seq))).encode(seq)
     ms = cfg.spec.markov
     payload = containerfmt.pack(containerfmt.Container(
         spec_hash=cfg.spec.spec_hash,
@@ -230,8 +227,7 @@ def cmd_decode(args) -> int:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
     run = RunConfig(**{**cfg.__dict__, "s": cont.s if cont.mode != "point" else cfg.s,
                        "anchor": cont.anchor if cont.mode != "point" else None})
-    ordering = _build_ordering(run, cont.n)
-    seq = ordering.decode(cont.codeword)
+    seq = ClassOrdering(_build_index(run, cont.n)).decode(cont.codeword)
     _atomic_write(Path(args.output), " ".join(str(v) for v in seq) + "\n")
     print(f"decoded {cont.n} symbols")
     return 0
@@ -245,15 +241,11 @@ def cmd_rate(args) -> int:
     cfg = _build_config(args, need_n=True)
     rows = []
     for n in cfg.n_list:
+        index = _build_index(cfg, n)
         if cfg.mode == "markov":
-            from .markov import markov_m_eps
-            ms = cfg.spec.markov
-            grid = Grid.create(n=n, s=cfg.s, d=ms.d, anchor=cfg.anchor)
-            index = markov_type_index(ms, n, grid, budget_paths=cfg.budget_paths)
             rep = markov_m_eps(index, np.asarray(cfg.spec.theta_star), cfg.epsilon)
         else:
-            ordering = _build_ordering(cfg, n)
-            rep = m_eps(_source_of(cfg), ordering.index, cfg.epsilon)
+            rep = m_eps(_source_of(cfg), index, cfg.epsilon)
         rows.append(rep)
     print(f"{'n':>6} {'epsilon':>8} {'gamma':>12} {'rate':>10}  M")
     for rep in rows:
@@ -317,11 +309,13 @@ def cmd_check(args) -> int:
     cstar = max(0.0, dev0 - 2 * fam.kappa * cfg.s)
     fields.append(("sandwich_fit", f"n={base_n} dev={dev0!r} cstar={cstar!r}"))
     print(f"  n={base_n:>5}: deviation {dev0:.6f} (fit C*={cstar:.6f})")
+    violated = False
     for n in cfg.n_list[1:]:
         grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
         dev = max_sandwich_deviation(
             fam, grid, build_type_index(fam, n, grid, budget=cfg.budget_compositions))
         ok = dev <= 2 * fam.kappa * cfg.s + cstar + 1e-9
+        violated = violated or not ok
         print(f"  n={n:>5}: deviation {dev:.6f} bound {2 * fam.kappa * cfg.s + cstar:.6f} "
               f"{'ok' if ok else 'VIOLATED'}")
         fields.append(("sandwich", f"n={n} dev={dev!r} ok={ok}"))
@@ -339,6 +333,9 @@ def cmd_check(args) -> int:
     if cfg.out:
         _atomic_write(cfg.out / "check_report.txt", render_report("check", fields))
         print(f"wrote {cfg.out / 'check_report.txt'}")
+    if violated:
+        print("invariant error: class-size sandwich bound VIOLATED", file=sys.stderr)
+        return EXIT_INVARIANT
     return 0
 
 
@@ -400,7 +397,7 @@ def main(argv=None) -> int:
     except ContainerError as exc:
         print(f"container error: {exc}", file=sys.stderr)
         return EXIT_CONTAINER
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, RuntimeError) as exc:
         print(f"invariant error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -179,18 +179,3 @@ def unpack_path(alphabet_size: int, packed: int, n: int) -> list[int]:
         out[i] = digit
     return out
 
-
-def rank(ordering: ClassOrdering, xs) -> int:
-    return ordering.rank(xs)
-
-
-def unrank(ordering: ClassOrdering, k: int) -> tuple[int, ...]:
-    return ordering.unrank(k)
-
-
-def encode(ordering: ClassOrdering, xs) -> Codeword:
-    return ordering.encode(xs)
-
-
-def decode(ordering: ClassOrdering, codeword) -> tuple[int, ...]:
-    return ordering.decode(codeword)

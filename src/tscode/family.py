@@ -14,18 +14,15 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SpecError
 
 LN2 = math.log(2.0)
 
-# Solver settings for the maximum-likelihood map. Newton runs while iterates
-# stay inside the parameter ball; projected gradient takes over on the ball
-# surface (clamped or boundary-statistic targets).
-_GRAD_TOL = 1e-10
-_NEWTON_MAX_ITER = 200
-_PG_MAX_ITER = 20000
+# Solver settings for the maximum-likelihood map: stop once the KKT residual
+# is below the tolerance, give up after the iteration budget.
+_KKT_TOL = 1e-10
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -137,18 +134,25 @@ class ModelEval:
     hess_psi: np.ndarray
 
 
-def evaluate(spec: FamilySpec, theta) -> ModelEval:
-    """Evaluate the model at theta with a max-shifted normalizer (bits)."""
-    th = spec.check_theta(theta)
-    exps = spec.tau_array @ th
+def _moments(tau: np.ndarray, theta: np.ndarray):
+    """psi, pmf, mean statistic and statistic covariance at theta, with a
+    max-shifted normalizer (bits); theta is not checked against the ball."""
+    exps = tau @ theta
     shift = float(exps.max())
     weights = np.exp2(exps - shift)
     psi = shift + math.log2(math.fsum(weights))
     pmf = np.exp2(exps - psi)
-    grad = pmf @ spec.tau_array
-    centered = spec.tau_array - grad
+    grad = pmf @ tau
+    centered = tau - grad
     hess = centered.T @ (pmf[:, None] * centered)
     hess = (hess + hess.T) / 2.0
+    return psi, pmf, grad, hess
+
+
+def evaluate(spec: FamilySpec, theta) -> ModelEval:
+    """Evaluate the model at theta with a max-shifted normalizer (bits)."""
+    th = spec.check_theta(theta)
+    psi, pmf, grad, hess = _moments(spec.tau_array, th)
     return ModelEval(theta=th, psi=psi, pmf=pmf, grad_psi=grad, hess_psi=hess)
 
 
@@ -161,15 +165,6 @@ def suffstat(spec: FamilySpec, xs) -> np.ndarray:
     """Per-sequence average statistic (1/n) sum_i tau(x_i)."""
     idx = spec.symbol_indices(xs)
     return spec.tau_array[idx].mean(axis=0)
-
-
-def suffstat_of_counts(spec: FamilySpec, counts) -> np.ndarray:
-    """Average statistic of any sequence with the given symbol counts."""
-    c = np.asarray(counts, dtype=float)
-    n = c.sum()
-    if n <= 0:
-        raise ValueError("counts must sum to a positive blocklength")
-    return (c @ spec.tau_array) / n
 
 
 def seq_log_prob(spec: FamilySpec, theta, xs) -> float:
@@ -211,6 +206,8 @@ def hull_distance(spec: FamilySpec, tau_target) -> float:
                 return 0.0
         except np.linalg.LinAlgError:
             pass
+    from scipy.optimize import linprog  # only here: the import is slow
+
     # variables: lambda (m weights), t (distance); minimize t subject to
     # |W lambda - tau| <= t componentwise, lambda >= 0, sum lambda = 1
     c = np.zeros(m + 1)
@@ -231,89 +228,36 @@ def hull_distance(spec: FamilySpec, tau_target) -> float:
     return float(res.fun)
 
 
-def _objective(spec: FamilySpec, tau_t: np.ndarray, theta: np.ndarray) -> float:
-    exps = spec.tau_array @ theta
-    shift = float(exps.max())
-    p = shift + math.log2(math.fsum(np.exp2(exps - shift)))
-    return float(np.dot(theta, tau_t)) - p
+def _ball_maximizer(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """Maximizer of <b, u> - u^T hess u / 2 over |u| <= rho, hess symmetric
+    positive semidefinite (More & Sorensen 1983).
 
-
-def _grad(spec: FamilySpec, tau_t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    exps = spec.tau_array @ theta
-    shift = float(exps.max())
-    w = np.exp2(exps - shift)
-    pmf = w / w.sum()
-    return tau_t - pmf @ spec.tau_array
-
-
-def _project(theta: np.ndarray, rho: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(theta))
-    if nrm <= rho:
-        return theta
-    return theta * (rho / nrm)
-
-
-def _kkt_residual(spec: FamilySpec, tau_t: np.ndarray, theta: np.ndarray,
-                  rho: float) -> float:
-    g = _grad(spec, tau_t, theta)
-    nrm = float(np.linalg.norm(theta))
-    if nrm >= rho * (1 - 1e-12):
-        radial = float(np.dot(g, theta)) / max(nrm, 1e-300)
-        g = g - max(radial, 0.0) * theta / max(nrm, 1e-300)
-    return float(np.linalg.norm(g))
-
-
-def _sphere_newton(spec: FamilySpec, tau_t: np.ndarray, theta0: np.ndarray,
-                   rho: float) -> np.ndarray | None:
-    """Newton on the KKT system of the sphere-constrained maximizer.
-
-    Solves tau - grad psi(theta) = lam * theta together with |theta| = rho;
-    returns None if it fails to converge or leaves the admissible regime.
+    The unconstrained maximizer is returned when it fits in the ball.
+    Otherwise u = (hess + lam I)^-1 b on the sphere, with lam > 0 the root of
+    the secular equation 1/|u(lam)| = 1/rho. Its left side is concave and
+    increasing in lam, so Newton started below the root climbs to it
+    monotonically.
     """
-    d = spec.d
-    theta = theta0 * (rho / max(float(np.linalg.norm(theta0)), 1e-300))
-    g = _grad(spec, tau_t, theta)
-    lam = max(float(np.dot(g, theta)) / (rho * rho), 0.0)
-    for _ in range(100):
-        g = _grad(spec, tau_t, theta)
-        f_top = g - lam * theta
-        f_bot = 0.5 * (float(np.dot(theta, theta)) - rho * rho)
-        fnorm = math.hypot(float(np.linalg.norm(f_top)), f_bot)
-        if fnorm <= 1e-12:
+    h, q = np.linalg.eigh(hess)
+    h = np.maximum(h, 0.0)
+    c = q.T @ b
+    if h[0] > 0.0:
+        u = c / h
+        if float(np.linalg.norm(u)) <= rho:
+            return q @ u
+    # |u(lam)| >= |c_i| / (h_i + lam) for every i: the root lies above this
+    lam = max(0.0, float(np.max(np.abs(c) / rho - h)))
+    for _ in range(_MAX_ITER):
+        den = h + lam
+        u = np.divide(c, den, out=np.zeros_like(c), where=c != 0.0)
+        nrm = float(np.linalg.norm(u))
+        if nrm <= rho * (1.0 + 1e-15):
             break
-        ev = evaluate(spec, _project(theta, rho))
-        jac = np.zeros((d + 1, d + 1))
-        jac[:d, :d] = -LN2 * ev.hess_psi - lam * np.eye(d)
-        jac[:d, d] = -theta
-        jac[d, :d] = theta
-        try:
-            delta = np.linalg.solve(jac, -np.concatenate([f_top, [f_bot]]))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        # damp to keep the residual shrinking
-        t = 1.0
-        for _bt in range(40):
-            cand_theta = theta + t * delta[:d]
-            cand_lam = lam + t * delta[d]
-            g2 = _grad(spec, tau_t, cand_theta)
-            f2_top = g2 - cand_lam * cand_theta
-            f2_bot = 0.5 * (float(np.dot(cand_theta, cand_theta)) - rho * rho)
-            if math.hypot(float(np.linalg.norm(f2_top)), f2_bot) < fnorm:
-                theta, lam = cand_theta, cand_lam
-                break
-            t /= 2.0
-        else:
-            return None
-    else:
-        return None
-    if lam < -1e-9:
-        return None
-    theta = theta * (rho / max(float(np.linalg.norm(theta)), 1e-300))
-    if _kkt_residual(spec, tau_t, theta, rho) > 1e-9:
-        return None
-    return theta
+        step = (nrm - rho) / rho * nrm * nrm / float(np.sum(u * u / den))
+        if step <= 1e-16 * lam:
+            break
+        lam += step
+    return q @ u * (rho / max(nrm, rho))
 
 
 def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
@@ -323,113 +267,54 @@ def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
     solver tolerance. Targets whose unconstrained optimum leaves the ball are
     clamped to the sphere. Targets farther than ``hull_slack`` (max-norm)
     outside the convex hull of the statistic rows raise ValueError.
+
+    Each iteration maximizes the local quadratic model of the objective
+    exactly over the ball and backtracks along that step until the objective
+    rises enough (Armijo); the loop stops when the gradient, less its outward
+    radial part on the sphere, is below tolerance.
     """
-    tau_t = np.asarray(tau_target, dtype=float)
-    if tau_t.shape == () and spec.d == 1:
-        tau_t = tau_t.reshape(1)
+    tau_t = np.atleast_1d(np.asarray(tau_target, dtype=float))
     if tau_t.shape != (spec.d,):
         raise SpecError(f"tau target has shape {tau_t.shape}, expected ({spec.d},)")
-    rho = spec.rho_max
+    tau, rho = spec.tau_array, spec.rho_max
     theta = np.zeros(spec.d)
-
-    def finish_boundary(th: np.ndarray) -> np.ndarray:
-        if hull_distance(spec, tau_t) > hull_slack:
-            raise ValueError(
-                f"statistic target {tau_t.tolist()} lies outside the convex hull "
-                f"of the statistic rows by more than {hull_slack:g}"
-            )
-        return th
-
-    sphere_streak = 0
-    for _ in range(_NEWTON_MAX_ITER):
-        g = _grad(spec, tau_t, theta)
+    psi, _, grad, cov = _moments(tau, theta)
+    for _ in range(_MAX_ITER):
+        g = tau_t - grad
         nrm = float(np.linalg.norm(theta))
         on_sphere = nrm >= rho * (1 - 1e-12)
-        if not on_sphere:
-            if float(np.linalg.norm(g)) <= _GRAD_TOL:
-                return theta
-            sphere_streak = 0
-        else:
-            if _kkt_residual(spec, tau_t, theta, rho) <= _GRAD_TOL:
-                return finish_boundary(theta)
-            sphere_streak += 1
-            if spec.d == 1:
-                # concave 1-D objective: an endpoint is optimal iff the
-                # gradient still points outward there; otherwise the optimum
-                # is interior and the iterate merely overshot onto the sphere
-                if _grad(spec, tau_t, np.array([rho]))[0] >= 0:
-                    return finish_boundary(np.array([rho]))
-                if _grad(spec, tau_t, np.array([-rho]))[0] <= 0:
-                    return finish_boundary(np.array([-rho]))
-                theta = theta * (1.0 - 1e-9)
-                sphere_streak = 0
-                continue
-            if sphere_streak >= 2:
-                refined = _sphere_newton(spec, tau_t, theta, rho)
-                if refined is not None:
-                    return finish_boundary(refined)
-                theta = _pg_phase(spec, tau_t, theta, rho, max_iter=_PG_MAX_ITER)
-                if _kkt_residual(spec, tau_t, theta, rho) > 1e-8:
-                    raise RuntimeError(
-                        "constrained likelihood maximization did not converge; "
-                        "the statistic target may be numerically degenerate"
-                    )
-                return finish_boundary(theta)
-        ev = evaluate(spec, _project(theta, rho))
-        hess = LN2 * ev.hess_psi
-        try:
-            step = np.linalg.solve(hess, g)
-        except np.linalg.LinAlgError:
-            step = g
-        if not np.all(np.isfinite(step)):
-            step = g
-        # backtracking on the projected candidate
-        base = _objective(spec, tau_t, theta)
-        if abs(float(np.dot(g, step))) < 1e-14 * (1.0 + abs(base)):
-            # within float noise of the optimum: take the pure Newton step
-            theta = _project(theta + step, rho)
-            continue
+        residual = g
+        if on_sphere:
+            radial = float(np.dot(g, theta)) / nrm
+            if radial > 0.0:
+                residual = g - radial * theta / nrm
+        if float(np.linalg.norm(residual)) <= _KKT_TOL:
+            break
+        hess = LN2 * cov
+        step = _ball_maximizer(hess, g + hess @ theta, rho) - theta
+        value = float(np.dot(theta, tau_t)) - psi
+        slope = float(np.dot(g, step))
         t = 1.0
-        cand = theta
-        for _bt in range(60):
-            cand = _project(theta + t * step, rho)
-            move = cand - theta
-            if _objective(spec, tau_t, cand) >= base + 1e-4 * float(np.dot(g, move)):
+        for _ in range(60):
+            cand = theta + t * step
+            c_psi, _, c_grad, c_cov = _moments(tau, cand)
+            # the second test accepts a step whose predicted gain is below
+            # the rounding error of the objective
+            if (float(np.dot(cand, tau_t)) - c_psi >= value + 1e-4 * t * slope
+                    or t * slope <= 1e-14 * (1.0 + abs(value))):
                 break
             t /= 2.0
-        else:
-            # Newton direction unusable after projection; take a gradient step
-            t = 1.0
-            for _bt in range(60):
-                cand = _project(theta + t * g, rho)
-                move = cand - theta
-                if _objective(spec, tau_t, cand) >= base + 1e-4 * float(np.dot(g, move)):
-                    break
-                t /= 2.0
-        theta = cand
-
-    # iteration budget exhausted; report the boundary case through the
-    # same verification path
-    if float(np.linalg.norm(theta)) >= rho * (1 - 1e-12):
-        return finish_boundary(theta)
-    return theta
-
-
-def _pg_phase(spec: FamilySpec, tau_t: np.ndarray, theta: np.ndarray,
-              rho: float, max_iter: int) -> np.ndarray:
-    step_size = 1.0
-    for _ in range(max_iter):
-        if _kkt_residual(spec, tau_t, theta, rho) <= _GRAD_TOL:
-            break
-        g = _grad(spec, tau_t, theta)
-        base = _objective(spec, tau_t, theta)
-        step_size = min(step_size * 4.0, 1e6)
-        cand = theta
-        while step_size > 1e-18:
-            cand = _project(theta + step_size * g, rho)
-            move = cand - theta
-            if _objective(spec, tau_t, cand) >= base + 1e-4 * float(np.dot(g, move)):
-                break
-            step_size /= 2.0
-        theta = cand
-    return theta
+        theta, psi, grad, cov = cand, c_psi, c_grad, c_cov
+    else:
+        raise RuntimeError(
+            "constrained likelihood maximization did not converge; "
+            "the statistic target may be numerically degenerate"
+        )
+    if not on_sphere:
+        return theta
+    if hull_distance(spec, tau_t) > hull_slack:
+        raise ValueError(
+            f"statistic target {tau_t.tolist()} lies outside the convex hull "
+            f"of the statistic rows by more than {hull_slack:g}"
+        )
+    return theta / nrm * rho

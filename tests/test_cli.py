@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tscode
 from tscode import container as containerfmt
 from tscode.cli import main
 from tscode.codec import Codeword
@@ -269,6 +275,26 @@ class TestRateFitCheckCommands:
         assert "max gap" in out and "bound" in out
         assert "sup deviation" in out
 
+    def test_check_violation_exit_3_after_report(self, workdir, capsys):
+        # rho_max 3 clamps the cuboid-center ML at the all-ones composition,
+        # which breaks the sandwich bound fitted at n = 8
+        outdir = workdir / "chk"
+        assert main(["check", "--spec", str(workdir / "bern.spec"),
+                     "--n-grid", "8,64", "--s", "2", "--seed", "1",
+                     "--out", str(outdir)]) == 3
+        captured = capsys.readouterr()
+        assert "VIOLATED" in captured.out and "invariant error" in captured.err
+        assert "n=64" in (outdir / "check_report.txt").read_text()
+
+    def test_runtime_error_exit_3(self, workdir, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("likelihood approximation gap exceeds its bound")
+
+        monkeypatch.setattr("tscode.cli.ml_approx_check", fail)
+        assert main(["check", "--spec", str(workdir / "bern.spec"),
+                     "--n-grid", "8,16"]) == 3
+        assert "invariant error: likelihood" in capsys.readouterr().err
+
     def test_rate_markov_mode(self, workdir, capsys):
         assert main(["rate", "--spec", str(workdir / "flip.spec"),
                      "--n-grid", "6,8", "--epsilon", "0.2"]) == 0
@@ -287,3 +313,10 @@ class TestRateFitCheckCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "epsilon" in err and "s must be positive" in err and "blocklength" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(tscode.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tscode.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -170,16 +170,6 @@ class TestEncodeDecode:
             o.decode(Codeword("10000"))  # index 2^5-1+16 = 47 >= 16
 
 
-class TestFunctionalWrappers:
-    def test_module_level_operations(self, bernoulli):
-        from tscode.codec import decode, encode, rank, unrank
-        o = _ordering(bernoulli, 5)
-        xs = (1, 2, 2, 1, 2)
-        r = rank(o, xs)
-        assert unrank(o, r) == xs
-        assert decode(o, encode(o, xs)) == xs
-
-
 class TestOrderingDeterminism:
     def test_two_constructions_identical(self, ternary):
         idx = build_type_index(ternary, 6, Grid.create(n=6, s=1.0, d=2))

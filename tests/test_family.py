@@ -232,6 +232,33 @@ class TestMle:
         assert hull_distance(bernoulli, [0.5]) <= 1e-9
         assert hull_distance(bernoulli, [1.25]) == pytest.approx(0.25, abs=1e-7)
 
+    @pytest.mark.parametrize("tau, w, norm", [
+        ([[-0.079, 0.193], [0.063, -1.649], [-0.124, 1.267]],
+         (0.218371, 0.612497, 0.169132), 13.2024),
+        ([[-1.552, 0.027, 1.408], [-1.438, 1.718, 1.858],
+          [-0.623, -1.176, -0.026], [0.476, 0.895, -0.344]],
+         (0.096472, 0.901549, 0.001111, 0.000868), 7.1329),
+    ])
+    def test_interior_optimum_in_wide_ball(self, tau, w, norm):
+        # strictly interior optima far from the origin, where the pmf is
+        # nearly degenerate and the statistic covariance nearly singular
+        fam = FamilySpec.create(tau, rho_max=14.0)
+        target = np.asarray(w) @ fam.tau_array
+        theta = mle(fam, target)
+        assert np.linalg.norm(theta) == pytest.approx(norm, abs=1e-4)
+        assert np.linalg.norm(evaluate(fam, theta).grad_psi - target) <= 1e-9
+
+    def test_hull_lp_on_non_simplex_family(self):
+        # four rows in d = 2: neither the d = 1 nor the simplex shortcut applies
+        square = FamilySpec.create([[0, 0], [1, 0], [0, 1], [1, 1]], rho_max=3.0)
+        assert hull_distance(square, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
+        assert hull_distance(square, [1.25, 0.5]) == pytest.approx(0.25, abs=1e-9)
+        assert hull_distance(square, [-0.5, 2.0]) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ValueError, match="convex hull"):
+            mle(square, [1.25, 0.5])
+        theta = mle(square, [1.0, 1.0])
+        assert np.linalg.norm(theta) == pytest.approx(square.rho_max, abs=1e-9)
+
     def test_interior_optimum_just_inside_clamp(self):
         # an overshooting step can land on the sphere even though the optimum
         # is interior; the solver must come back inside and reach stationarity
