@@ -23,7 +23,6 @@ from .family import (
 )
 from .markov import (
     MarkovFamilySpec,
-    MarkovTypeIndex,
     entropy_rate,
     markov_codec,
     markov_eps_rate,
@@ -57,7 +56,7 @@ from .rates import (
     overflow_prob,
     third_order_fit,
 )
-from .typeclass import Composition, TypeClass, TypeIndex
+from .typeclass import TypeClass, TypeIndex
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

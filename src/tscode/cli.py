@@ -1,9 +1,10 @@
 """Command-line surface: validate, encode, decode, rate, fit, check.
 
-Exit codes: 0 success, 1 unreadable input, 2 schema error, 3 invariant or
-domain error, 4 resource budget exceeded, 5 corrupt or mismatched container.
-All outputs are written atomically (temp file + rename); commands are
-deterministic given their configuration and seed.
+Exit codes: 0 success, 1 unreadable input or unwritable output, 2 schema
+error, 3 invariant or domain error, 4 resource budget exceeded, 5 corrupt or
+mismatched container. All outputs are written atomically (a unique temp file
+in the target directory, fsynced, then renamed); commands are deterministic
+given their configuration and seed.
 """
 
 from __future__ import annotations
@@ -125,13 +126,19 @@ def _build_config(args, need_n: bool) -> RunConfig:
 
 
 def _atomic_write(path: Path, data) -> None:
+    """Write through a unique temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    payload = data if isinstance(data, bytes) else data.encode()
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_sequence(path: Path) -> tuple[int, ...]:
@@ -385,7 +392,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SchemaError as exc:

@@ -12,7 +12,7 @@ class SpecError(ValueError):
 class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget (CLI exit code 4)."""
 
-    def __init__(self, what: str, needed: int, budget: int, hint: str = ""):
+    def __init__(self, what: str, needed: int | str, budget: int, hint: str = ""):
         msg = f"{what} requires {needed} items but the budget is {budget}"
         if hint:
             msg += f" ({hint})"

@@ -38,6 +38,17 @@ class Alphabet:
     def symbols(self) -> range:
         return range(1, self.size + 1)
 
+    def indices(self, xs: Iterable[int]) -> np.ndarray:
+        """0-based indices of a nonempty sequence of symbols in 1..size."""
+        idx = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)
+        if idx.size == 0:
+            raise ValueError("empty sequence")
+        if idx.dtype.kind not in "iu":
+            raise ValueError("sequence symbols must be integers")
+        if idx.min() < 1 or idx.max() > self.size:
+            raise ValueError(f"sequence contains symbols outside 1..{self.size}")
+        return idx - 1
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -106,18 +117,6 @@ class FamilySpec:
             )
         return th
 
-    def symbol_indices(self, xs: Iterable[int]) -> np.ndarray:
-        idx = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)
-        if idx.size == 0:
-            raise ValueError("empty sequence")
-        if idx.dtype.kind not in "iu":
-            raise ValueError("sequence symbols must be integers")
-        if idx.min() < 1 or idx.max() > self.alphabet.size:
-            raise ValueError(
-                f"sequence contains symbols outside 1..{self.alphabet.size}"
-            )
-        return idx - 1
-
 
 @dataclass(frozen=True)
 class ModelEval:
@@ -163,13 +162,13 @@ def psi(spec: FamilySpec, theta) -> float:
 
 def suffstat(spec: FamilySpec, xs) -> np.ndarray:
     """Per-sequence average statistic (1/n) sum_i tau(x_i)."""
-    idx = spec.symbol_indices(xs)
+    idx = spec.alphabet.indices(xs)
     return spec.tau_array[idx].mean(axis=0)
 
 
 def seq_log_prob(spec: FamilySpec, theta, xs) -> float:
     """log2 probability of the sequence: n(<theta, tau(x^n)> - psi(theta))."""
-    idx = spec.symbol_indices(xs)
+    idx = spec.alphabet.indices(xs)
     ev = evaluate(spec, theta)
     stat = spec.tau_array[idx].mean(axis=0)
     return len(idx) * (float(np.dot(ev.theta, stat)) - ev.psi)

@@ -2,8 +2,10 @@
 
 Transition probabilities are p(b|a) = 2^(<theta, tau2(a,b)> - psi(theta))
 with one global psi, which forces every row sum sum_b 2^<theta, tau2(a,b)>
-to be identical; specs violating that row normalization are rejected. The
-initial symbol x0 is a required field known to encoder and decoder.
+to be identical. Specs violating that row normalization are rejected: the
+row sums agree for every theta iff every state holds the same multiset of
+tau2 vectors, which is checked exactly at construction. The initial symbol
+x0 is a required field known to encoder and decoder.
 
 Type classes quantize the pair-statistic average over cuboids exactly as in
 the memoryless case; sizes are exact path counts from exhaustive enumeration
@@ -13,7 +15,7 @@ the memoryless case; sizes are exact path counts from exhaustive enumeration
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import BudgetError, SpecError
 from .family import Alphabet
 from .quantized import Grid
 from .rates import FitReport, RateReport, _codebook_report, fit_excess, gaussian_Qinv
+from .typeclass import TypeIndex
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -49,7 +52,16 @@ class MarkovFamilySpec:
             raise SpecError(f"rho_max must be a finite positive real, got {self.rho_max!r}")
         if not (isinstance(self.x0, int) and 1 <= self.x0 <= m):
             raise SpecError(f"x0 must be a symbol in 1..{m}, got {self.x0!r}")
-        self._validate_row_normalization()
+        rows = [sorted(self.tau2[a * m:(a + 1) * m]) for a in range(m)]
+        for a, row in enumerate(rows[1:], start=2):
+            # row log-sums agree for every theta iff the multisets agree:
+            # exponentials of distinct linear forms are linearly independent
+            if row != rows[0]:
+                raise SpecError(
+                    f"row normalization violated: state {a} holds a different "
+                    f"multiset of tau2 vectors than state 1 (single-normalizer "
+                    f"family requires equal row sums for every theta)"
+                )
 
     @staticmethod
     def create(tau2, rho_max: float, x0: int) -> "MarkovFamilySpec":
@@ -67,37 +79,10 @@ class MarkovFamilySpec:
         a.setflags(write=False)
         return a
 
-    def _theta_grid(self) -> list[np.ndarray]:
-        pts = [np.zeros(self.d)]
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = self.rho_max
-            pts.append(e.copy())
-            pts.append(-e)
-        rng = np.random.Generator(np.random.Philox(20240117))
-        for _ in range(16):
-            v = rng.normal(size=self.d)
-            v /= max(np.linalg.norm(v), 1e-300)
-            pts.append(v * self.rho_max)
-            pts.append(v * self.rho_max / 2)
-        return pts
-
     def _row_log_sums(self, theta: np.ndarray) -> np.ndarray:
         exps = self.tau2_array @ theta  # (m, m)
         shift = exps.max(axis=1, keepdims=True)
         return shift[:, 0] + np.log2(np.exp2(exps - shift).sum(axis=1))
-
-    def _validate_row_normalization(self):
-        for theta in self._theta_grid():
-            sums = self._row_log_sums(theta)
-            spread = np.abs(sums - sums[0])
-            if spread.max() > 1e-9:
-                bad = int(np.argmax(spread)) + 1
-                raise SpecError(
-                    f"row normalization violated at theta={theta.tolist()}: state "
-                    f"{bad} has log-sum {sums[bad - 1]:.12g} vs state 1 "
-                    f"{sums[0]:.12g} (single-normalizer family requires equal row sums)"
-                )
 
     def check_theta(self, theta) -> np.ndarray:
         th = np.asarray(theta, dtype=float)
@@ -112,13 +97,8 @@ class MarkovFamilySpec:
         return th
 
     def psi(self, theta) -> float:
-        th = self.check_theta(theta)
-        sums = self._row_log_sums(th)
-        spread = np.abs(sums - sums[0])
-        if spread.max() > 1e-9:
-            bad = int(np.argmax(spread)) + 1
-            raise SpecError(f"row normalization violated at state {bad}")
-        return float(sums[0])
+        """Base-2 log-normalizer: the log-sum of any row (all rows agree)."""
+        return float(self._row_log_sums(self.check_theta(theta))[0])
 
 
 def transition_matrix(mspec: MarkovFamilySpec, theta) -> np.ndarray:
@@ -202,73 +182,6 @@ def varentropy_rate(mspec: MarkovFamilySpec, theta) -> float:
     return max(additive_variance(p, pi, g), 0.0)
 
 
-@dataclass(frozen=True)
-class MarkovTypeClass:
-    """One Markov type class: member paths (packed base-m integers, sorted
-    ascending = path-lexicographic) and the exact size."""
-
-    key: tuple[int, ...]
-    center: tuple[float, ...]
-    paths: np.ndarray
-    size: int
-
-
-@dataclass(frozen=True)
-class MarkovTypeIndex:
-    mspec: MarkovFamilySpec
-    n: int
-    grid: Grid
-    classes: tuple[MarkovTypeClass, ...]
-    mode: str = "markov"
-    meta: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.mspec.alphabet.size
-
-    @property
-    def spec(self):
-        return self.mspec
-
-    def total_size(self) -> int:
-        return sum(cls.size for cls in self.classes)
-
-    def to_indices(self, xs) -> np.ndarray:
-        idx = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)
-        if idx.size == 0:
-            raise ValueError("empty sequence")
-        if idx.min() < 1 or idx.max() > self.alphabet_size:
-            raise ValueError(f"sequence contains symbols outside 1..{self.alphabet_size}")
-        return idx - 1
-
-    def pair_stat_sum(self, xs) -> np.ndarray:
-        """Sum over steps of tau2(x_{i-1}, x_i), starting from x0."""
-        digits = self.to_indices(xs)
-        m = self.alphabet_size
-        prev = np.concatenate([[self.mspec.x0 - 1], digits[:-1]])
-        flat = self.mspec.tau2_array.reshape(m * m, self.mspec.d)
-        return flat[prev * m + digits].sum(axis=0)
-
-    @property
-    def _lookup(self) -> dict:
-        table = self.__dict__.get("_lookup_table")
-        if table is None:
-            table = {cls.key: i for i, cls in enumerate(self.classes)}
-            object.__setattr__(self, "_lookup_table", table)
-        return table
-
-    def class_of_sequence(self, xs) -> MarkovTypeClass:
-        digits = self.to_indices(xs)
-        if len(digits) != self.n:
-            raise ValueError(f"sequence length {len(digits)} does not match index n={self.n}")
-        stat = self.pair_stat_sum(xs) / self.n
-        key = tuple(int(v) for v in self.grid.cell_index(stat))
-        idx = self._lookup.get(key)
-        if idx is None:
-            raise ValueError(f"statistic cell {key} not present in this index")
-        return self.classes[idx]
-
-
 def _all_path_stats(mspec: MarkovFamilySpec, n: int) -> np.ndarray:
     """Pair-statistic sums for every path, ordered by packed path id."""
     m = mspec.alphabet.size
@@ -309,31 +222,18 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
     if grid.d != mspec.d:
         raise SpecError(f"grid dimension {grid.d} does not match family d={mspec.d}")
     m = mspec.alphabet.size
-    total = m ** n
     budget = DEFAULT_PATH_BUDGET if budget_paths is None else budget_paths
     if method == "exhaustive":
-        if total > budget:
-            raise BudgetError("path enumeration", total, budget,
+        # m^n >= 2^n > budget once n reaches the budget's bit length, so the
+        # power is only formed when it is small
+        if n >= budget.bit_length() or m ** n > budget:
+            raise BudgetError("path enumeration", f"{m}^{n}", budget,
                               hint="use method='montecarlo'")
         stats = _all_path_stats(mspec, n)
-        keys = grid.cell_index(stats / n)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-        centers = grid.center_of_index(uniq)
-        classes = []
-        for ci in range(len(uniq)):
-            paths = np.sort(order[bounds[ci]:bounds[ci + 1]])
-            classes.append(MarkovTypeClass(
-                key=tuple(int(v) for v in uniq[ci]),
-                center=tuple(float(v) for v in centers[ci]),
-                paths=paths,
-                size=int(paths.size),
-            ))
-        return MarkovTypeIndex(mspec=mspec, n=n, grid=grid, classes=tuple(classes),
-                               meta={"path_stats": stats, "class_of_path": inverse})
+        return TypeIndex(mspec, n, "markov", grid.cell_index(stats / n),
+                         [1] * len(stats), stats, grid.center_of_index)
     if method == "montecarlo":
+        total = m ** n
         rng = np.random.Generator(np.random.Philox(seed))
         flat = mspec.tau2_array.reshape(m * m, mspec.d)
         digits = rng.integers(0, m, size=(samples, n), dtype=np.int64)
@@ -362,24 +262,17 @@ def markov_codec(mspec: MarkovFamilySpec, n: int, grid: Grid,
                                            budget_paths=budget_paths))
 
 
-def markov_class_masses(index: MarkovTypeIndex, theta) -> list[float]:
+def markov_class_masses(index: TypeIndex, theta) -> list[float]:
     """Exact per-class probabilities under the chain started at x0."""
-    th = index.mspec.check_theta(theta)
-    psi = index.mspec.psi(th)
-    stats = index.meta["path_stats"]
-    inverse = index.meta["class_of_path"]
-    logp = stats @ th - index.n * psi
-    w = np.exp2(logp)
-    sums = np.bincount(inverse, weights=w, minlength=len(index.classes))
-    return [float(v) for v in sums]
+    th = index.spec.check_theta(theta)
+    return index.class_sums(index.member_stats @ th - index.n * index.spec.psi(th))
 
 
-def markov_m_eps(index: MarkovTypeIndex, theta_star, epsilon: float) -> RateReport:
-    masses = markov_class_masses(index, theta_star)
-    return _codebook_report(index.classes, masses, index.n, epsilon, index.mode)
+def markov_m_eps(index: TypeIndex, theta_star, epsilon: float) -> RateReport:
+    return _codebook_report(index, markov_class_masses(index, theta_star), epsilon)
 
 
-def markov_eps_rate(index: MarkovTypeIndex, theta_star, epsilon: float) -> float:
+def markov_eps_rate(index: TypeIndex, theta_star, epsilon: float) -> float:
     return markov_m_eps(index, theta_star, epsilon).rate
 
 

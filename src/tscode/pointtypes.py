@@ -23,7 +23,7 @@ from .typeclass import (
     TypeIndex,
     check_composition_budget,
     composition_array,
-    group_compositions_by_key,
+    multinomials_colex,
 )
 
 
@@ -247,7 +247,7 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
 
 def point_class_of(lmap: LatticeMap, spec: FamilySpec, xs) -> LatticePoint:
     """Exact integer class key: the sum of per-symbol lattice vectors."""
-    idx = spec.symbol_indices(xs)
+    idx = spec.alphabet.indices(xs)
     scaled = lmap.L_array[idx].sum(axis=0)
     return LatticePoint(scaled=tuple(int(v) for v in scaled), n=len(idx))
 
@@ -258,16 +258,12 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
     m = spec.alphabet.size
     check_composition_budget(n, m, budget)
     comps = composition_array(n, m)
-    keys = comps @ lmap.L_array
 
-    def centers_of_keys(uniq):
-        return np.asarray(lmap.tau1) + (uniq.astype(float) / n) @ lmap.recon_array.T
+    def centers_of_keys(keys):
+        return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
 
-    return group_compositions_by_key(
-        spec, n, keys, comps, mode="point",
-        centers_of_keys=centers_of_keys,
-        meta={"lattice_map": lmap},
-    )
+    return TypeIndex(spec, n, "point", comps @ lmap.L_array,
+                     list(multinomials_colex(n, m)), comps, centers_of_keys)
 
 
 def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:

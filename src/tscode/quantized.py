@@ -19,7 +19,7 @@ from .typeclass import (
     TypeIndex,
     check_composition_budget,
     composition_array,
-    group_compositions_by_key,
+    multinomials_colex,
 )
 
 # Relative tolerance for resolving floating-point boundary ties toward the
@@ -95,12 +95,8 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     check_composition_budget(n, m, budget)
     comps = composition_array(n, m)
     stats = (comps.astype(float) @ spec.tau_array) / n
-    keys = grid.cell_index(stats)
-    return group_compositions_by_key(
-        spec, n, keys, comps, mode="quantized",
-        centers_of_keys=grid.center_of_index,
-        meta={"s": grid.s, "anchor": grid.anchor},
-    )
+    return TypeIndex(spec, n, "quantized", grid.cell_index(stats),
+                     list(multinomials_colex(n, m)), comps, grid.center_of_index)
 
 
 def type_size_of_sequence(index: TypeIndex, xs) -> int:
@@ -113,7 +109,7 @@ def r_of(spec: FamilySpec, grid: Grid, xs, hull_slack: float | None = None) -> f
     -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s, with theta_c the
     likelihood maximizer at the center."""
     stat = suffstat(spec, xs)
-    n = len(spec.symbol_indices(xs))
+    n = len(spec.alphabet.indices(xs))
     if grid.n != n:
         raise SpecError(f"grid built for n={grid.n}, sequence has n={n}")
     center = cuboid_center_of(grid, stat)

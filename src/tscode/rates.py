@@ -55,30 +55,14 @@ class RateReport:
     mode: str
 
 
-def _composition_mass(counts, size: int, log2p) -> float:
-    """multinomial * prod p^k, exact up to float rounding."""
-    dot = math.fsum(k * lp for k, lp in zip(counts, log2p))
-    if size.bit_length() <= 53:
-        return size * 2.0 ** dot if dot > -1074 else 0.0
-    lm = math.log2(size) + dot
-    return 2.0 ** lm if lm > -1074 else 0.0
-
-
 def class_masses(source: SourceSpec, index: TypeIndex) -> list[float]:
     """Probability of each class under the true model, in class order.
 
-    Per-composition masses are computed in log space and summed with
-    compensation; the total over all classes is 1 to float accuracy.
+    Each member composition weighs 2^(log2 size + counts . log2 p), computed
+    in log space; the total over all classes is 1 to float accuracy.
     """
     ev = evaluate(source.family, source.theta_array)
-    log2p = np.log2(ev.pmf)
-    masses = []
-    for cls in index.classes:
-        masses.append(math.fsum(
-            _composition_mass(member, size, log2p)
-            for member, size in zip(cls.members, cls.member_sizes)
-        ))
-    return masses
+    return index.class_sums(index.member_log2_sizes + index.member_stats @ np.log2(ev.pmf))
 
 
 def overflow_prob(source: SourceSpec, index: TypeIndex, gamma: float) -> float:
@@ -86,8 +70,8 @@ def overflow_prob(source: SourceSpec, index: TypeIndex, gamma: float) -> float:
     masses = class_masses(source, index)
     bound = index.n * gamma
     total = math.fsum(
-        mass for cls, mass in zip(index.classes, masses)
-        if math.log2(cls.size) > bound
+        mass for size, mass in zip(index.sizes, masses)
+        if math.log2(size) > bound
     )
     return min(max(total, 0.0), 1.0)
 
@@ -98,8 +82,8 @@ def _ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
-def _codebook_report(classes, masses, n: int, epsilon: float, mode: str) -> RateReport:
-    """Shared core of the codebook-size evaluator over any indexed class list.
+def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
+    """Shared core of the codebook-size evaluator over the classes of any index.
 
     Classes sorted ascending by exact size can only be cut between distinct
     size values (the threshold is on the size itself); the report's gamma is
@@ -107,9 +91,8 @@ def _codebook_report(classes, masses, n: int, epsilon: float, mode: str) -> Rate
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    order = sorted(range(len(classes)),
-                   key=lambda i: (classes[i].size, classes[i].key))
-    sizes = [classes[i].size for i in order]
+    order = index.class_order
+    sizes = [index.sizes[i] for i in order]
     mass_sorted = [masses[i] for i in order]
     ncls = len(order)
     # compensated suffix masses: suffix[i] = mass of classes i..end
@@ -134,15 +117,15 @@ def _codebook_report(classes, masses, n: int, epsilon: float, mode: str) -> Rate
     if best is None:
         raise ValueError("no admissible threshold; epsilon too small for total mass")
     m_total = sum(sizes[:best])
+    n = index.n
     gamma = math.log2(sizes[best - 1]) / n
     return RateReport(n=n, epsilon=epsilon, gamma=gamma, M=m_total,
-                      rate=_ceil_log2(m_total) / n, mode=mode)
+                      rate=_ceil_log2(m_total) / n, mode=index.mode)
 
 
 def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:
     """Smallest codebook size over class-size thresholds with overflow <= eps."""
-    masses = class_masses(source, index)
-    return _codebook_report(index.classes, masses, index.n, epsilon, index.mode)
+    return _codebook_report(index, class_masses(source, index), epsilon)
 
 
 def eps_rate(source: SourceSpec, index: TypeIndex, epsilon: float) -> float:
@@ -334,17 +317,15 @@ def max_sandwich_deviation(spec: FamilySpec, grid: Grid, index: TypeIndex) -> fl
     """Max over all sequences of |log2 |T| - r(x^n)| for the class-size
     sandwich, where r uses the likelihood at the class's cuboid center."""
     worst = 0.0
-    logn = math.log2(index.n)
+    n = index.n
+    logn = math.log2(n)
     logs = math.log2(grid.s)
     slack = grid.side * math.sqrt(spec.d) / 2 + 1e-9
+    taus = (index.member_stats.astype(float) @ spec.tau_array) / n
     for cls in index.classes:
-        center = np.asarray(cls.center)
-        theta_c = mle(spec, center, hull_slack=slack)
+        theta_c = mle(spec, index.centers[cls.id], hull_slack=slack)
         psi_c = evaluate(spec, theta_c).psi
-        log_size = math.log2(cls.size)
-        for member in cls.members:
-            tau = (np.asarray(member, dtype=float) @ spec.tau_array) / index.n
-            lp = index.n * (float(np.dot(theta_c, tau)) - psi_c)
-            r = -lp - spec.d / 2 * logn + spec.d * logs
-            worst = max(worst, abs(log_size - r))
+        lp = n * (taus[cls.members] @ theta_c - psi_c)
+        r = -lp - spec.d / 2 * logn + spec.d * logs
+        worst = max(worst, float(np.abs(math.log2(cls.size) - r).max()))
     return worst

@@ -1,24 +1,27 @@
-"""Compositions and type-class indexes.
+"""Compositions and the columnar type-class index.
 
 A composition (the vector of symbol counts) is the atom of all exact counting
 for memoryless families: every sequence statistic is a function of it. Type
-indexes group compositions into classes — by cuboid for the quantized mode,
-by exact lattice point for the point mode — with exact big-integer sizes.
+indexes group *members* into classes — compositions by cuboid for the
+quantized mode or by exact lattice point for the point mode, single paths by
+pair-statistic cuboid for the Markov mode — with exact big-integer sizes.
 
 Compositions are enumerated in colexicographic order of the count vector
-(last coordinate most significant). This order is part of the codec contract.
+(last coordinate most significant); a composition's member id is its row in
+that enumeration, and a Markov path's member id is its packed base-m value.
+Both orders are part of the codec contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from itertools import accumulate, pairwise
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError
-from .family import FamilySpec
 
 DEFAULT_COMPOSITION_BUDGET = 5_000_000
 
@@ -37,18 +40,8 @@ def composition_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def compositions_colex(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m-part compositions of n in ascending colexicographic order."""
-    if m == 1:
-        yield (n,)
-        return
-    for last in range(n + 1):
-        for rest in compositions_colex(n - last, m - 1):
-            yield rest + (last,)
-
-
 def composition_array(n: int, m: int) -> np.ndarray:
-    """The colex enumeration as an (N, m) int64 array."""
+    """All m-part compositions of n in ascending colex order, as (N, m) int64."""
     if m == 1:
         return np.array([[n]], dtype=np.int64)
     if m == 2:
@@ -60,6 +53,22 @@ def composition_array(n: int, m: int) -> np.ndarray:
         col = np.full((rest.shape[0], 1), last, dtype=np.int64)
         blocks.append(np.hstack([rest, col]))
     return np.vstack(blocks)
+
+
+def colex_rank(counts: Sequence[int]) -> int:
+    """Row of ``counts`` in ``composition_array(sum(counts), len(counts))``.
+
+    Combinatorial number system (enumerative coding, Cover 1973): the sum
+    over j of C(r+j, j) - C(r-c_j+j, j), where r is the total of the counts
+    at positions 0..j.
+    """
+    rank = 0
+    r = sum(counts)
+    for j in range(len(counts) - 1, 0, -1):
+        c = counts[j]
+        rank += math.comb(r + j, j) - math.comb(r - c + j, j)
+        r -= c
+    return rank
 
 
 def multinomials_colex(n: int, m: int) -> Iterator[int]:
@@ -78,75 +87,168 @@ def multinomials_colex(n: int, m: int) -> Iterator[int]:
         block = block * (n - last) // (last + 1)
 
 
-@dataclass(frozen=True)
-class Composition:
-    counts: tuple[int, ...]
+def rank_in_composition(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
+    """Lexicographic index of a sequence among permutations of its multiset."""
+    rem_counts = list(counts)
+    remaining = sum(rem_counts)
+    size = multinomial(rem_counts)
+    rank = 0
+    for x in sym_idx:
+        for y in range(x):
+            if rem_counts[y]:
+                rank += size * rem_counts[y] // remaining
+        size = size * rem_counts[x] // remaining
+        rem_counts[x] -= 1
+        remaining -= 1
+    return rank
+
+
+def unrank_in_composition(counts: Sequence[int], k: int) -> list[int]:
+    rem_counts = list(counts)
+    remaining = sum(rem_counts)
+    size = multinomial(rem_counts)
+    out = []
+    for _ in range(remaining):
+        total = sum(rem_counts)
+        for y, c in enumerate(rem_counts):
+            if not c:
+                continue
+            block = size * c // total
+            if k < block:
+                out.append(y)
+                size = block
+                rem_counts[y] -= 1
+                break
+            k -= block
+        else:
+            raise ValueError("index exceeds composition size")
+    return out
+
+
+def pack_path(alphabet_size: int, sym_idx) -> int:
+    p = 0
+    for x in sym_idx:
+        p = p * alphabet_size + int(x)
+    return p
+
+
+def unpack_path(alphabet_size: int, packed: int, n: int) -> list[int]:
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        packed, digit = divmod(packed, alphabet_size)
+        out[i] = digit
+    return out
+
+
+class TypeClass:
+    """One class of a TypeIndex, read through the index's columns."""
+
+    __slots__ = ("index", "id")
+
+    def __init__(self, index: "TypeIndex", cid: int):
+        self.index = index
+        self.id = cid
 
     @property
-    def n(self) -> int:
-        return sum(self.counts)
+    def key(self) -> tuple[int, ...]:
+        return tuple(self.index.keys[self.id].tolist())
+
+    @property
+    def center(self) -> tuple[float, ...]:
+        return tuple(self.index.centers[self.id].tolist())
 
     @property
     def size(self) -> int:
-        return multinomial(self.counts)
+        return self.index.sizes[self.id]
 
-    def suffstat(self, spec: FamilySpec) -> np.ndarray:
-        return (np.asarray(self.counts, dtype=float) @ spec.tau_array) / self.n
-
-
-@dataclass(frozen=True)
-class TypeClass:
-    """One type class: a sortable integer key, its member compositions in
-    colex order with exact per-member counts, and the exact class size."""
-
-    key: tuple[int, ...]
-    center: tuple[float, ...]
-    members: tuple[tuple[int, ...], ...]
-    member_sizes: tuple[int, ...]
-    size: int
+    @property
+    def members(self) -> np.ndarray:
+        """Member ids of the class, ascending."""
+        bounds = self.index.bounds
+        return self.index.members[bounds[self.id]:bounds[self.id + 1]]
 
 
-@dataclass(frozen=True)
 class TypeIndex:
-    """All type classes at one blocklength, in ascending key order."""
+    """All type classes of one mode at one blocklength, stored as columns.
 
-    spec: FamilySpec
-    n: int
-    mode: str  # "quantized" | "point"
-    classes: tuple[TypeClass, ...]
-    meta: dict = field(default_factory=dict, compare=False)
+    Per class (ids in ascending lexicographic key order): ``keys`` (K, kdim),
+    ``centers`` (K, d) and exact ``sizes`` (Python ints). Per member:
+    ``member_class``, ``member_stats`` (composition counts, or Markov
+    path-statistic sums), and ``members``, the member ids grouped by class
+    (CSR ``bounds``, ascending inside a class) with ``prefix``, the exact
+    count of sequences before each position of that grouping.
+    """
+
+    def __init__(self, spec, n: int, mode: str, member_keys: np.ndarray,
+                 member_sizes: Sequence[int], member_stats: np.ndarray,
+                 centers_of_keys: Callable[[np.ndarray], np.ndarray]):
+        self.spec = spec
+        self.n = n
+        self.mode = mode  # "quantized" | "point" | "markov"
+        self.member_stats = member_stats
+        # one stable sort: classes in key order, member ids ascending inside
+        members = np.lexsort(member_keys.T[::-1])
+        grouped = member_keys[members]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], np.any(grouped[1:] != grouped[:-1], axis=1))))
+        self.members = members
+        self.bounds = np.append(starts, len(members))
+        self.keys = grouped[starts]
+        self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
+        self.member_class = np.empty(len(members), dtype=np.int64)
+        self.member_class[members] = np.repeat(np.arange(len(starts)), np.diff(self.bounds))
+        self.prefix = list(accumulate((member_sizes[i] for i in members.tolist()), initial=0))
+        self.sizes = [self.prefix[b] - self.prefix[a]
+                      for a, b in pairwise(self.bounds.tolist())]
 
     @property
     def alphabet_size(self) -> int:
         return self.spec.alphabet.size
 
+    @cached_property
+    def classes(self) -> tuple[TypeClass, ...]:
+        return tuple(TypeClass(self, c) for c in range(len(self.sizes)))
+
+    @cached_property
+    def class_order(self) -> list[int]:
+        """Class ids ascending by (exact size, key): the codec's class order."""
+        return sorted(range(len(self.sizes)), key=self.sizes.__getitem__)
+
+    @cached_property
+    def member_log2_sizes(self) -> np.ndarray:
+        """log2 of each member's exact sequence count, by member id."""
+        out = np.empty(len(self.members))
+        out[self.members] = [math.log2(b - a) for a, b in pairwise(self.prefix)]
+        return out
+
+    def class_sums(self, log2_weights: np.ndarray) -> list[float]:
+        """Per-class sums of 2^w over per-member log2 weights w."""
+        return np.bincount(self.member_class, weights=np.exp2(log2_weights),
+                           minlength=len(self.sizes)).tolist()
+
     def total_size(self) -> int:
-        return sum(cls.size for cls in self.classes)
+        return self.prefix[-1]
 
-    @property
-    def _lookup(self) -> dict:
-        table = self.__dict__.get("_lookup_table")
-        if table is None:
-            table = {}
-            for i, cls in enumerate(self.classes):
-                for counts in cls.members:
-                    table[counts] = i
-            object.__setattr__(self, "_lookup_table", table)
-        return table
-
-    def class_of_counts(self, counts: Sequence[int]) -> TypeClass:
-        key = tuple(int(k) for k in counts)
-        idx = self._lookup.get(key)
-        if idx is None:
-            raise ValueError(f"counts {key} do not belong to this index (n={self.n})")
-        return self.classes[idx]
-
-    def class_of_sequence(self, xs) -> TypeClass:
-        idx = self.spec.symbol_indices(xs)
+    def member_of(self, xs) -> tuple[int, int]:
+        """The member holding a length-n sequence, and the sequence's rank in it."""
+        idx = self.spec.alphabet.indices(xs)
         if len(idx) != self.n:
             raise ValueError(f"sequence length {len(idx)} does not match index n={self.n}")
-        counts = np.bincount(idx, minlength=self.spec.alphabet.size)
-        return self.class_of_counts(counts)
+        if self.mode == "markov":
+            return pack_path(self.alphabet_size, idx.tolist()), 0
+        counts = np.bincount(idx, minlength=self.alphabet_size).tolist()
+        return colex_rank(counts), rank_in_composition(counts, idx.tolist())
+
+    def sequence_of(self, member: int, within: int) -> tuple[int, ...]:
+        """Inverse of member_of: the 1-based sequence at rank ``within``."""
+        if self.mode == "markov":
+            digits = unpack_path(self.alphabet_size, member, self.n)
+        else:
+            digits = unrank_in_composition(self.member_stats[member].tolist(), within)
+        return tuple(y + 1 for y in digits)
+
+    def class_of_sequence(self, xs) -> TypeClass:
+        return TypeClass(self, int(self.member_class[self.member_of(xs)[0]]))
 
     def export_table(self) -> str:
         """One row per class: center coordinates, member count, exact size."""
@@ -164,42 +266,3 @@ def check_composition_budget(n: int, m: int, budget: int | None) -> int:
         raise BudgetError("composition enumeration", needed, budget,
                           hint="raise the composition budget")
     return needed
-
-
-def group_compositions_by_key(
-    spec: FamilySpec,
-    n: int,
-    keys: np.ndarray,
-    comps: np.ndarray,
-    mode: str,
-    centers_of_keys,
-    meta: dict | None = None,
-) -> TypeIndex:
-    """Assemble a TypeIndex from per-composition integer keys.
-
-    Classes are emitted in ascending lexicographic key order; members keep
-    the colex enumeration order. ``centers_of_keys`` maps the (K, kdim)
-    array of distinct keys to a (K, d) array of representative statistics.
-    """
-    sizes = list(multinomials_colex(n, spec.alphabet.size))
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    centers = np.asarray(centers_of_keys(uniq), dtype=float)
-    comp_rows = [tuple(row) for row in comps.tolist()]
-    key_rows = [tuple(row) for row in uniq.tolist()]
-    classes = []
-    for ci in range(len(uniq)):
-        rows = order[boundaries[ci]:boundaries[ci + 1]].tolist()
-        members = tuple(comp_rows[r] for r in rows)
-        member_sizes = tuple(sizes[r] for r in rows)
-        classes.append(TypeClass(
-            key=key_rows[ci],
-            center=tuple(centers[ci].tolist()),
-            members=members,
-            member_sizes=member_sizes,
-            size=sum(member_sizes),
-        ))
-    return TypeIndex(spec=spec, n=n, mode=mode, classes=tuple(classes),
-                     meta=dict(meta or {}))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,34 @@ class TestEncodeDecodeCommands:
                      "--mode", "quantized", str(seq), str(cont)]) == 0
         parsed = containerfmt.unpack(cont.read_bytes())
         assert parsed.codeword.length <= 1  # singleton class ranks first
+
+    def test_forged_huge_markov_n_exits_4(self, workdir, capsys):
+        cont = workdir / "forged.tsz"
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(FLIP_SPEC).spec_hash, mode="markov", s=1.0,
+            anchor=(0.0,), x0=1, n=2 ** 32 - 1, codeword=Codeword("101"))))
+        start = time.perf_counter()
+        assert main(["decode", "--spec", str(workdir / "flip.spec"), "--mode", "markov",
+                     str(cont), str(workdir / "never.txt")]) == 4
+        assert time.perf_counter() - start < 5.0
+        assert "2^4294967295" in capsys.readouterr().err
+        assert not (workdir / "never.txt").exists()
+
+    def test_decode_into_directory_exits_1_without_temp_files(self, workdir, capsys):
+        seq = workdir / "seq.txt"
+        seq.write_text("1 2 1 1 2 2\n")
+        cont = workdir / "seq.tsz"
+        assert main(["encode", "--spec", str(workdir / "bern.spec"),
+                     "--mode", "quantized", str(seq), str(cont)]) == 0
+        target = workdir / "adir"
+        target.mkdir()
+        before = sorted(os.listdir(workdir))
+        capsys.readouterr()
+        assert main(["decode", "--spec", str(workdir / "bern.spec"), "--mode", "quantized",
+                     str(cont), str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(workdir)) == before
+        assert not any(target.iterdir())
 
     def test_budget_exit_4(self, workdir):
         seq = workdir / "seq.txt"

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -50,6 +51,9 @@ class TestSpecValidation:
     def test_row_normalization_enforced_naming_state(self):
         with pytest.raises(SpecError, match="state 2"):
             MarkovFamilySpec.create([[0.0], [1.0], [0.5], [0.0]], rho_max=2.0, x0=1)
+        # row log-sums within 1e-10 of each other are still unequal
+        with pytest.raises(SpecError, match="state 2"):
+            MarkovFamilySpec.create([[0.0], [1.0], [1.0000000001], [0.0]], rho_max=3.0, x0=1)
 
     def test_flip_family_valid(self, flip_markov):
         assert flip_markov.d == 1 and flip_markov.x0 == 1
@@ -198,6 +202,13 @@ class TestMarkovTypeIndex:
             markov_type_index(flip_markov, 24, Grid.create(n=24, s=1.0, d=1),
                               budget_paths=1000)
 
+    def test_budget_rejects_huge_n_without_forming_the_power(self, flip_markov):
+        n = 10 ** 6
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"2\^1000000 .*montecarlo"):
+            markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))
+        assert time.perf_counter() - start < 1.0
+
     def test_montecarlo_within_three_se(self, flip_markov):
         n = 10
         grid = Grid.create(n=n, s=1.0, d=1)
@@ -222,7 +233,7 @@ class TestMarkovTypeIndex:
             for x in xs:
                 direct += math.log2(p[prev - 1, x - 1])
                 prev = x
-            stat = idx.pair_stat_sum(xs)
+            stat = idx.member_stats[idx.member_of(xs)[0]]
             closed = float(stat @ th) - n * circulant3.psi(th)
             assert abs(direct - closed) <= 1e-9 * n
 

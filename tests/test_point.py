@@ -167,7 +167,7 @@ class TestEquiprobability:
         thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
         # two sequences from one class: permutations of a member composition
         for cls in idx.classes:
-            counts = cls.members[0]
+            counts = idx.member_stats[cls.members[0]]
             seq1 = [s + 1 for s in range(3) for _ in range(counts[s])]
             seq2 = seq1[::-1]
             for th in thetas:
@@ -182,7 +182,7 @@ class TestEquiprobability:
         thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
 
         def rep(cls):
-            counts = cls.members[0]
+            counts = idx.member_stats[cls.members[0]]
             return [s + 1 for s in range(3) for _ in range(counts[s])]
 
         for i, ca in enumerate(idx.classes):
@@ -199,7 +199,7 @@ class TestEquiprobability:
             grid = Grid.create(n=n, s=s, d=1)
             point_idx = point_type_index(sqrt2_family, lmap, n)
             for cls in point_idx.classes:
-                cells = {tuple(grid.cell_index((np.asarray(mem, dtype=float)
+                cells = {tuple(grid.cell_index((point_idx.member_stats[mem].astype(float)
                                                 @ sqrt2_family.tau_array) / n))
                          for mem in cls.members}
                 assert len(cells) == 1

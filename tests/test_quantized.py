@@ -10,9 +10,9 @@ from tscode.errors import BudgetError, SpecError
 from tscode.family import FamilySpec, suffstat
 from tscode.quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of, type_size_of_sequence
 from tscode.typeclass import (
-    Composition,
+    colex_rank,
     composition_array,
-    compositions_colex,
+    composition_count,
     multinomial,
     multinomials_colex,
 )
@@ -61,24 +61,27 @@ class TestCuboidCenter:
 
 
 class TestCompositions:
-    def test_composition_type_contract(self, ternary):
-        comp = Composition((2, 3, 1))
-        assert comp.n == 6
-        assert comp.size == multinomial((2, 3, 1)) == 60
-        assert comp.suffstat(ternary) == pytest.approx([0.5, 1 / 6])
+    def test_colex_rank_inverts_composition_array(self):
+        for n, m in [(0, 2), (0, 4), (1, 3), (4, 2), (3, 3), (5, 4), (7, 5), (12, 3)]:
+            rows = composition_array(n, m).tolist()
+            assert len(rows) == composition_count(n, m)
+            assert [colex_rank(row) for row in rows] == list(range(len(rows)))
 
     def test_colex_order_binary(self):
-        assert list(compositions_colex(4, 2)) == [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+        assert composition_array(4, 2).tolist() == [[4, 0], [3, 1], [2, 2], [1, 3], [0, 4]]
 
-    def test_array_matches_generator(self):
-        for n, m in [(4, 2), (3, 3), (5, 4)]:
-            arr = composition_array(n, m)
-            assert [tuple(r) for r in arr.tolist()] == list(compositions_colex(n, m))
+    def test_array_is_every_composition_in_colex_order(self):
+        for n, m in [(0, 3), (4, 2), (3, 3), (5, 4)]:
+            rows = [tuple(r) for r in composition_array(n, m).tolist()]
+            every = [c for c in product(range(n + 1), repeat=m) if sum(c) == n]
+            assert sorted(rows) == every
+            assert rows == sorted(rows, key=lambda c: c[::-1])
 
     def test_multinomials_align_with_enumeration(self):
+        assert multinomial((2, 3, 1)) == 60
         for n, m in [(6, 2), (5, 3), (4, 4)]:
             sizes = list(multinomials_colex(n, m))
-            comps = list(compositions_colex(n, m))
+            comps = composition_array(n, m).tolist()
             assert sizes == [multinomial(c) for c in comps]
             assert sum(sizes) == m ** n
 
