@@ -67,7 +67,7 @@ class ClassOrdering:
         self._order = index.class_order
         self._slot = np.empty(len(self._order), dtype=np.int64)
         self._slot[self._order] = np.arange(len(self._order))
-        self.offsets = [0, *accumulate(index.sizes[c] for c in self._order)]
+        self.offsets = list(accumulate(map(index.sizes.__getitem__, self._order), initial=0))
         self.total = self.offsets[-1]
 
     @cached_property

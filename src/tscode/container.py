@@ -51,16 +51,8 @@ def pack(container: Container) -> bytes:
     out += struct.pack(">I", container.n)
     bits = container.codeword.bits
     out += struct.pack(">Q", len(bits))
-    acc = 0
-    nbits = 0
-    for b in bits:
-        acc = (acc << 1) | (b == "1")
-        nbits += 1
-        if nbits == 8:
-            out.append(acc)
-            acc = nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
+    if bits:
+        out += (int(bits, 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
     return bytes(out)
 
 
@@ -98,12 +90,10 @@ def unpack(data: bytes) -> Container:
     raw = r.take(nbytes, "codeword bits")
     if r.pos != len(data):
         raise ContainerError(f"{len(data) - r.pos} trailing bytes after codeword")
-    bits = []
-    for i in range(bitlen):
-        byte = raw[i // 8]
-        bits.append("1" if (byte >> (7 - i % 8)) & 1 else "0")
-    tail = bitlen % 8
-    if tail and raw and raw[-1] & ((1 << (8 - tail)) - 1):
+    pad = -bitlen % 8
+    value = int.from_bytes(raw, "big")
+    if value & ((1 << pad) - 1):
         raise ContainerError("nonzero padding bits in final byte")
+    bits = format(value >> pad, f"0{bitlen}b") if bitlen else ""
     return Container(spec_hash=spec_hash, mode=mode, s=s, anchor=anchor,
-                     x0=x0, n=n, codeword=Codeword("".join(bits)))
+                     x0=x0, n=n, codeword=Codeword(bits))

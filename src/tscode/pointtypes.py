@@ -263,7 +263,7 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
         return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
 
     return TypeIndex(spec, n, "point", comps @ lmap.L_array,
-                     list(multinomials_colex(n, m)), comps, centers_of_keys)
+                     multinomials_colex(n, m), comps, centers_of_keys)
 
 
 def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:

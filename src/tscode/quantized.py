@@ -96,7 +96,7 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     comps = composition_array(n, m)
     stats = (comps.astype(float) @ spec.tau_array) / n
     return TypeIndex(spec, n, "quantized", grid.cell_index(stats),
-                     list(multinomials_colex(n, m)), comps, grid.center_of_index)
+                     multinomials_colex(n, m), comps, grid.center_of_index)
 
 
 def type_size_of_sequence(index: TypeIndex, xs) -> int:

@@ -92,8 +92,8 @@ def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
     order = index.class_order
-    sizes = [index.sizes[i] for i in order]
-    mass_sorted = [masses[i] for i in order]
+    sizes = np.array(index.sizes, dtype=object)[order]
+    mass_sorted = np.asarray(masses)[order].tolist()
     ncls = len(order)
     # compensated suffix masses: suffix[i] = mass of classes i..end
     suffix = [0.0] * (ncls + 1)
@@ -107,16 +107,12 @@ def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
         suffix[i] = acc
     # candidate cut points: boundaries between distinct sizes (plus "keep all");
     # the empty codebook is never admissible for epsilon < 1
-    best = None
-    for i in range(1, ncls + 1):
-        if i < ncls and sizes[i - 1] == sizes[i]:
-            continue
-        if suffix[i] <= epsilon:
-            best = i
-            break
-    if best is None:
+    cuts = np.append(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1, ncls)
+    admissible = cuts[np.asarray(suffix)[cuts] <= epsilon]
+    if not len(admissible):
         raise ValueError("no admissible threshold; epsilon too small for total mass")
-    m_total = sum(sizes[:best])
+    best = int(admissible[0])
+    m_total = int(sizes[:best].sum())
     n = index.n
     gamma = math.log2(sizes[best - 1]) / n
     return RateReport(n=n, epsilon=epsilon, gamma=gamma, M=m_total,

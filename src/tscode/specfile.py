@@ -24,22 +24,45 @@ from .markov import MarkovFamilySpec
 from .pointtypes import ExactStatMap
 
 
-def parse_exact_number(token: str) -> Fraction:
-    """Exact decimal or p/q rational; rejects NaN/Inf and malformed tokens."""
-    token = token.strip()
-    if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            return Fraction(parse_exact_number(num), parse_exact_number(den))
-        except ZeroDivisionError:
-            raise SchemaError(f"zero denominator in rational {token!r}") from None
+# A decimal exponent beyond this is no finite nonzero double, and forming its
+# exact value would take time and memory that grow with the exponent.
+_MAX_EXPONENT = 1000
+
+
+def _parse_decimal(token: str) -> Fraction:
     try:
         dec = Decimal(token)
     except InvalidOperation:
         raise SchemaError(f"not a decimal number: {token!r}") from None
     if dec.is_nan() or dec.is_infinite():
         raise SchemaError(f"non-finite numbers are rejected: {token!r}")
-    return Fraction(dec)
+    if dec and abs(dec.adjusted()) > _MAX_EXPONENT:
+        raise SchemaError(f"decimal exponent out of range: {token!r}")
+    try:
+        return Fraction(dec)
+    except ValueError as exc:  # more digits than int() may convert
+        raise SchemaError(f"number too long: {token[:20]!r}...: {exc}") from None
+
+
+def parse_exact_number(token: str) -> Fraction:
+    """Exact decimal or p/q rational; rejects NaN/Inf and malformed tokens.
+
+    Further slashes nest to the right: ``a/b/c`` is a / (b / c).
+    """
+    *nums, value = (_parse_decimal(part) for part in token.strip().split("/"))
+    for num in reversed(nums):
+        if not value:
+            raise SchemaError(f"zero denominator in rational {token.strip()!r}")
+        value = num / value
+    return value
+
+
+def parse_real(token: str) -> float:
+    """``parse_exact_number`` rounded to a double; rejects overflow."""
+    try:
+        return float(parse_exact_number(token))
+    except OverflowError:
+        raise SchemaError(f"number outside the double range: {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -80,11 +103,11 @@ def parse_spec_text(text: str) -> ParsedSpec:
         except ValueError:
             raise SchemaError(f"field {name} must be an integer, got {vals[0][0]!r}") from None
 
-    def single_number(name: str) -> Fraction:
+    def single_number(name: str) -> float:
         vals = fields.get(name)
         if not vals or len(vals) != 1 or len(vals[0]) != 1:
             raise SchemaError(f"expected exactly one `{name} <number>` line")
-        return parse_exact_number(vals[0][0])
+        return parse_real(vals[0][0])
 
     known = {"alphabet_size", "d", "tau", "tau2", "rho_max", "theta_star",
              "basis", "coeff", "x0"}
@@ -92,43 +115,40 @@ def parse_spec_text(text: str) -> ParsedSpec:
     if unknown:
         raise SchemaError(f"unknown fields: {sorted(unknown)}")
 
+    # everything sized by d or m is checked against the rows first
     m = single_int("alphabet_size")
     d = single_int("d")
+    if m < 2:
+        raise SchemaError(f"alphabet_size must be at least 2, got {m}")
+    if d < 1:
+        raise SchemaError(f"d must be at least 1, got {d}")
+    is_markov = "tau2" in fields
+    if is_markov and "tau" in fields:
+        raise SchemaError("a spec file may not contain both tau and tau2")
+    name, want = ("tau2", m * m) if is_markov else ("tau", m)
+    table = fields.get(name)
+    if not table:
+        raise SchemaError(f"missing {name} rows")
+    if len(table) != want:
+        raise SchemaError(f"{name} must have {want} rows, found {len(table)}")
+    for row in table:
+        if len(row) != d:
+            raise SchemaError(f"{name} rows must have {d} entries, found {len(row)}")
     rho = single_number("rho_max")
     theta = (0.0,) * d
     if "theta_star" in fields:
         vals = fields["theta_star"]
         if len(vals) != 1 or len(vals[0]) != d:
             raise SchemaError(f"theta_star must be one row of {d} numbers")
-        theta = tuple(float(parse_exact_number(v)) for v in vals[0])
-
-    is_markov = "tau2" in fields
-    if is_markov and "tau" in fields:
-        raise SchemaError("a spec file may not contain both tau and tau2")
+        theta = tuple(parse_real(v) for v in vals[0])
+    rows = tuple(tuple(parse_real(v) for v in row) for row in table)
 
     if is_markov:
-        rows2 = fields["tau2"]
-        if len(rows2) != m * m:
-            raise SchemaError(f"tau2 must have {m * m} rows, found {len(rows2)}")
-        for row in rows2:
-            if len(row) != d:
-                raise SchemaError(f"tau2 rows must have {d} entries, found {len(row)}")
-        x0 = single_int("x0")
-        tau2 = tuple(tuple(float(parse_exact_number(v)) for v in row) for row in rows2)
-        markov = MarkovFamilySpec.create(tau2, float(rho), x0)
+        markov = MarkovFamilySpec.create(rows, rho, single_int("x0"))
         return ParsedSpec(kind="markov", family=None, stat_map=None,
                           markov=markov, theta_star=theta, text=text)
 
-    rows_tau = fields.get("tau")
-    if not rows_tau:
-        raise SchemaError("missing tau rows")
-    if len(rows_tau) != m:
-        raise SchemaError(f"tau must have {m} rows, found {len(rows_tau)}")
-    for row in rows_tau:
-        if len(row) != d:
-            raise SchemaError(f"tau rows must have {d} entries, found {len(row)}")
-    tau = tuple(tuple(float(parse_exact_number(v)) for v in row) for row in rows_tau)
-    family = FamilySpec.create(tau, float(rho))
+    family = FamilySpec.create(rows, rho)
 
     stat_map = None
     if "basis" in fields or "coeff" in fields:
@@ -157,7 +177,7 @@ def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:
             if not sep or not name:
                 raise SchemaError(f"basis entries are name=hint, got {item!r}")
             pair_names.append(name)
-            pair_hints.append(float(parse_exact_number(hint)))
+            pair_hints.append(parse_real(hint))
         names[coord - 1] = tuple(pair_names)
         hints[coord - 1] = tuple(pair_hints)
     for j in range(d):

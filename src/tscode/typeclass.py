@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, pairwise
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,18 +41,22 @@ def composition_count(n: int, m: int) -> int:
 
 
 def composition_array(n: int, m: int) -> np.ndarray:
-    """All m-part compositions of n in ascending colex order, as (N, m) int64."""
-    if m == 1:
-        return np.array([[n]], dtype=np.int64)
-    if m == 2:
-        ks = np.arange(n + 1, dtype=np.int64)
-        return np.column_stack([n - ks, ks])
-    blocks = []
-    for last in range(n + 1):
-        rest = composition_array(n - last, m - 1)
-        col = np.full((rest.shape[0], 1), last, dtype=np.int64)
-        blocks.append(np.hstack([rest, col]))
-    return np.vstack(blocks)
+    """All m-part compositions of n in ascending colex order, as (N, m) int64.
+
+    Built from the most significant (last) count down: a row with r still to
+    place expands into r + 1 rows, one per value 0..r of the next count.
+    """
+    rest = np.array([n], dtype=np.int64)
+    cols: list[np.ndarray] = []
+    for _ in range(m - 1):
+        reps = rest + 1
+        starts = np.cumsum(reps) - reps
+        count = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        cols = [np.repeat(c, reps) for c in cols]
+        cols.append(count)
+        rest = np.repeat(rest, reps) - count
+    cols.append(rest)
+    return np.column_stack(cols[::-1])
 
 
 def colex_rank(counts: Sequence[int]) -> int:
@@ -71,20 +75,33 @@ def colex_rank(counts: Sequence[int]) -> int:
     return rank
 
 
-def multinomials_colex(n: int, m: int) -> Iterator[int]:
-    """Exact multinomial coefficients aligned with the colex enumeration.
+def _extend_binomial_row(out: list[int], scale: int, r: int) -> None:
+    """Append scale * C(r, k) for k = 0..r: one small multiply and one small
+    divide per entry of the first half, the mirror image for the rest."""
+    row = [scale]
+    v = scale
+    for k in range(1, r // 2 + 1):
+        v = v * (r - k + 1) // k
+        row.append(v)
+    out += row
+    out += reversed(row[:r + 1 - len(row)])
 
-    Runs incrementally (one big multiply per composition) instead of
-    recomputing binomials from scratch.
+
+def multinomials_colex(n: int, m: int) -> list[int]:
+    """Exact multinomial coefficients aligned with ``composition_array(n, m)``.
+
+    Fixing the counts at positions 2..m-1 leaves a block of rows whose first
+    two counts run over (r - k, k), k = 0..r. Those blocks follow the colex
+    order of the (m-1)-part compositions (r, counts 2..m-1), and each block
+    is that composition's multinomial times the binomial row C(r, k).
     """
     if m == 1:
-        yield 1
-        return
-    block = 1  # C(n, last), starting at last = 0
-    for last in range(n + 1):
-        for inner in multinomials_colex(n - last, m - 1):
-            yield inner * block
-        block = block * (n - last) // (last + 1)
+        return [1]
+    out: list[int] = []
+    outer = multinomials_colex(n, m - 1)
+    for scale, r in zip(outer, composition_array(n, m - 1)[:, 0].tolist()):
+        _extend_binomial_row(out, scale, r)
+    return out
 
 
 def rank_in_composition(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
@@ -174,9 +191,10 @@ class TypeIndex:
     Per class (ids in ascending lexicographic key order): ``keys`` (K, kdim),
     ``centers`` (K, d) and exact ``sizes`` (Python ints). Per member:
     ``member_class``, ``member_stats`` (composition counts, or Markov
-    path-statistic sums), and ``members``, the member ids grouped by class
-    (CSR ``bounds``, ascending inside a class) with ``prefix``, the exact
-    count of sequences before each position of that grouping.
+    path-statistic sums), ``member_log2_sizes`` (log2 of the member's exact
+    sequence count), and ``members``, the member ids grouped by class (CSR
+    ``bounds``, ascending inside a class) with ``prefix``, the exact count of
+    sequences before each position of that grouping.
     """
 
     def __init__(self, spec, n: int, mode: str, member_keys: np.ndarray,
@@ -197,9 +215,13 @@ class TypeIndex:
         self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
         self.member_class = np.empty(len(members), dtype=np.int64)
         self.member_class[members] = np.repeat(np.arange(len(starts)), np.diff(self.bounds))
-        self.prefix = list(accumulate((member_sizes[i] for i in members.tolist()), initial=0))
-        self.sizes = [self.prefix[b] - self.prefix[a]
-                      for a, b in pairwise(self.bounds.tolist())]
+        # member sizes once, in grouped order; a singleton class shares its
+        # member's int
+        grouped_sizes = np.array(member_sizes, dtype=object)[members]
+        self.prefix = list(accumulate(grouped_sizes.tolist(), initial=0))
+        self.sizes = np.add.reduceat(grouped_sizes, starts).tolist()
+        self.member_log2_sizes = np.fromiter(map(math.log2, member_sizes), float,
+                                             count=len(members))
 
     @property
     def alphabet_size(self) -> int:
@@ -211,15 +233,18 @@ class TypeIndex:
 
     @cached_property
     def class_order(self) -> list[int]:
-        """Class ids ascending by (exact size, key): the codec's class order."""
-        return sorted(range(len(self.sizes)), key=self.sizes.__getitem__)
+        """Class ids ascending by (exact size, key): the codec's class order.
 
-    @cached_property
-    def member_log2_sizes(self) -> np.ndarray:
-        """log2 of each member's exact sequence count, by member id."""
-        out = np.empty(len(self.members))
-        out[self.members] = [math.log2(b - a) for a, b in pairwise(self.prefix)]
-        return out
+        A stable argsort of log2 sizes leaves only near-equal sizes out of
+        order, and equal sizes have equal logs, so ties keep their key order;
+        the stable sort by exact size then runs over nearly sorted ids.
+        """
+        # a singleton class's log2 size is its member's
+        log2_sizes = self.member_log2_sizes[self.members[self.bounds[:-1]]]
+        merged = np.flatnonzero(np.diff(self.bounds) > 1)
+        log2_sizes[merged] = [math.log2(self.sizes[c]) for c in merged.tolist()]
+        rough = np.argsort(log2_sizes, kind="stable").tolist()
+        return sorted(rough, key=self.sizes.__getitem__)
 
     def class_sums(self, log2_weights: np.ndarray) -> list[float]:
         """Per-class sums of 2^w over per-member log2 weights w."""

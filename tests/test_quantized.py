@@ -79,11 +79,13 @@ class TestCompositions:
 
     def test_multinomials_align_with_enumeration(self):
         assert multinomial((2, 3, 1)) == 60
-        for n, m in [(6, 2), (5, 3), (4, 4)]:
-            sizes = list(multinomials_colex(n, m))
-            comps = composition_array(n, m).tolist()
-            assert sizes == [multinomial(c) for c in comps]
-            assert sum(sizes) == m ** n
+        for m in range(1, 6):
+            for n in range(9):
+                sizes = multinomials_colex(n, m)
+                comps = composition_array(n, m).tolist()
+                assert sizes == [multinomial(c) for c in comps]
+                assert sum(sizes) == m ** n
+        assert sum(multinomials_colex(1024, 3)) == 3 ** 1024
 
 
 class TestBuildTypeIndex:

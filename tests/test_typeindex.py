@@ -8,6 +8,7 @@ ascending (size, key) order, every class holds exactly the sequences with
 its key, and class masses equal the per-sequence probability sums.
 """
 
+import gc
 import math
 from itertools import product
 
@@ -121,3 +122,21 @@ class TestColumnarIndex:
         _check_ordering(ClassOrdering(index), m, key_of,
                         lambda xs: math.prod(p[a - 1, b - 1] for a, b in steps(xs)),
                         markov_class_masses(index, theta))
+
+
+def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, sqrt2_statmap,
+                                                         flip_markov):
+    # a cycle would keep every big-integer column alive until a full collection
+    gc.collect()
+    n = 24
+    indexes = [
+        build_type_index(ternary, n, Grid.create(n=n, s=1.0, d=2)),
+        point_type_index(sqrt2_family, derive_lattice(sqrt2_statmap), n),
+        markov_type_index(flip_markov, 10, Grid.create(n=10, s=1.0, d=1)),
+    ]
+    for index in indexes:
+        ordering = ClassOrdering(index)
+        xs = (1,) * index.n
+        assert ordering.decode(ordering.encode(xs)) == xs
+    del index, ordering, indexes
+    assert gc.collect() == 0
