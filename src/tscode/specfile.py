@@ -7,12 +7,15 @@ Point-type files extend this with ``basis`` rows (named constants with
 decimal display hints) and exact rational ``coeff`` rows. Markov files
 replace ``tau`` with ``tau2`` (|X|^2 rows, row-major over symbol pairs) and
 add ``x0``. Numbers are parsed exactly as decimals or p/q rationals;
-NaN and infinities are rejected.
+NaN, infinities, decimal exponents beyond +-1000 and numbers outside the
+double range are rejected. ``alphabet_size``, ``d`` and the statistic rows
+are checked before anything is sized by them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -27,6 +30,7 @@ from .pointtypes import ExactStatMap
 # A decimal exponent beyond this is no finite nonzero double, and forming its
 # exact value would take time and memory that grow with the exponent.
 _MAX_EXPONENT = 1000
+_DOUBLE_MAX = Fraction(sys.float_info.max)
 
 
 def _parse_decimal(token: str) -> Fraction:
@@ -57,12 +61,16 @@ def parse_exact_number(token: str) -> Fraction:
     return value
 
 
+def parse_exact_real(token: str) -> Fraction:
+    """``parse_exact_number`` inside the double range, so it rounds to a double."""
+    value = parse_exact_number(token)
+    if abs(value) > _DOUBLE_MAX:
+        raise SchemaError(f"number outside the double range: {token!r}")
+    return value
+
+
 def parse_real(token: str) -> float:
-    """``parse_exact_number`` rounded to a double; rejects overflow."""
-    try:
-        return float(parse_exact_number(token))
-    except OverflowError:
-        raise SchemaError(f"number outside the double range: {token!r}") from None
+    return float(parse_exact_real(token))
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:
             raise SchemaError(f"coeff symbol/coordinate must be integers: {row[:2]}") from None
         if not (1 <= sym <= m) or not (1 <= coord <= d):
             raise SchemaError(f"coeff indices ({sym},{coord}) out of range")
-        vals = tuple(parse_exact_number(v) for v in row[2:])
+        vals = tuple(parse_exact_real(v) for v in row[2:])
         if len(vals) != len(names[coord - 1]):
             raise SchemaError(
                 f"coeff row for symbol {sym} coordinate {coord} must have "

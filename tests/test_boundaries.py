@@ -86,6 +86,8 @@ class TestSpecText:
         "alphabet_size 2\nd 0\ntau\ntau\nrho_max 1\n",
         "alphabet_size 2\nd 1\ntau 0\ntau 1e400\nrho_max 1\n",
         "alphabet_size 2\nd 1\ntau 0\ntau 1e-999999999\nrho_max 1\n",
+        "alphabet_size 3\nd 1\ntau 0\ntau 1\ntau 2\nrho_max 3\nbasis 1 one=1 sqrt2=1.4\n"
+        "coeff 2 1 1 0\ncoeff 3 1 0 1e900\n",
     ])
     def test_size_fields_and_numbers_are_checked_before_use(self, tmp_path, bad):
         with pytest.raises(SchemaError):
