@@ -72,7 +72,8 @@ class ClassOrdering:
 
     @cached_property
     def classes(self) -> list[TypeClass]:
-        return [TypeClass(self.index, c) for c in self._order]
+        columns = self.index.columns
+        return [TypeClass(columns, c) for c in self._order]
 
     def rank(self, xs) -> int:
         """Exact rank in [0, |X|^n); a bijection onto that range."""

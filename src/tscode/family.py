@@ -148,6 +148,20 @@ def _moments(tau: np.ndarray, theta: np.ndarray):
     return psi, pmf, grad, hess
 
 
+def _moments_batch(tau: np.ndarray, theta: np.ndarray):
+    """Row-wise ``_moments`` over an (N, d) batch of parameters: psi (N,),
+    mean statistic (N, d) and statistic covariance (N, d, d)."""
+    exps = theta @ tau.T
+    shift = exps.max(axis=1)
+    psi = shift + np.log2(np.exp2(exps - shift[:, None]).sum(axis=1))
+    pmf = np.exp2(exps - psi[:, None])
+    grad = pmf @ tau
+    centered = tau - grad[:, None, :]
+    cov = centered.transpose(0, 2, 1) @ (pmf[:, :, None] * centered)
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    return psi, grad, cov
+
+
 def evaluate(spec: FamilySpec, theta) -> ModelEval:
     """Evaluate the model at theta with a max-shifted normalizer (bits)."""
     th = spec.check_theta(theta)
@@ -259,6 +273,44 @@ def _ball_maximizer(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     return q @ u * (rho / max(nrm, rho))
 
 
+def _ball_maximizers(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """Row-wise ``_ball_maximizer`` over (N, d, d) curvatures and (N, d)
+    linear terms; the secular-equation Newton runs only on the rows whose
+    unconstrained maximizer leaves the ball, each until it stops."""
+    h, q = np.linalg.eigh(hess)
+    h = np.maximum(h, 0.0)
+    c = np.einsum("nji,nj->ni", q, b)
+    u = np.zeros_like(c)
+    interior = h[:, 0] > 0.0
+    u[interior] = c[interior] / h[interior]
+    scale = np.ones(len(c))
+    rows = np.flatnonzero(~interior | (np.linalg.norm(u, axis=1) > rho))
+    if len(rows):
+        hs, cs = h[rows], c[rows]
+        lam = np.maximum(0.0, np.max(np.abs(cs) / rho - hs, axis=1))
+        us = np.zeros_like(cs)
+        nrms = np.zeros(len(rows))
+        active = np.arange(len(rows))
+        for _ in range(_MAX_ITER):
+            den = hs[active] + lam[active, None]
+            ca = cs[active]
+            ua = np.divide(ca, den, out=np.zeros_like(ca), where=ca != 0.0)
+            na = np.linalg.norm(ua, axis=1)
+            us[active], nrms[active] = ua, na
+            moving = na > rho * (1.0 + 1e-15)
+            step = np.zeros(len(active))
+            step[moving] = ((na[moving] - rho) / rho * na[moving] * na[moving]
+                            / np.sum(ua[moving] * ua[moving] / den[moving], axis=1))
+            moving &= step > 1e-16 * lam[active]
+            lam[active[moving]] += step[moving]
+            active = active[moving]
+            if not len(active):
+                break
+        u[rows] = us
+        scale[rows] = rho / np.maximum(nrms, rho)
+    return np.einsum("nij,nj->ni", q, u) * scale[:, None]
+
+
 def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
     """Maximizer of <theta, tau> - psi(theta) over the rho_max ball.
 
@@ -317,3 +369,76 @@ def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
             f"of the statistic rows by more than {hull_slack:g}"
         )
     return theta / nrm * rho
+
+
+def mle_batch(spec: FamilySpec, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``mle`` over an (N, d) array of targets: the (N, d)
+    maximizers and their (N,) log-normalizers psi (bits).
+
+    The same trust-region iteration as ``mle``, with the same tolerances, run
+    over the whole batch: each row backtracks on its own and leaves the
+    batch once its KKT residual is below tolerance. Rows that end on the
+    sphere are snapped to norm ``rho_max``.
+
+    No hull check is made. Precondition: every target is a composition
+    average, or the center of a grid cuboid that contains one, so it lies
+    within max-norm distance side/2 of the convex hull of the statistic rows,
+    inside the hull slack the callers would give ``mle``. Single or external
+    targets go through ``mle``, which checks the hull.
+    """
+    tau_t = np.asarray(targets, dtype=float)
+    if tau_t.ndim != 2 or tau_t.shape[1] != spec.d:
+        raise SpecError(f"tau targets have shape {tau_t.shape}, expected (N, {spec.d})")
+    tau, rho = spec.tau_array, spec.rho_max
+    theta = np.zeros_like(tau_t)
+    psi, grad, cov = _moments_batch(tau, theta)
+    out = np.empty_like(tau_t)
+    active = np.arange(len(tau_t))
+    for _ in range(_MAX_ITER):
+        tt = tau_t[active]
+        g = tt - grad
+        nrm = np.linalg.norm(theta, axis=1)
+        on_sphere = nrm >= rho * (1 - 1e-12)
+        residual = g.copy()
+        radial = np.zeros(len(active))
+        radial[on_sphere] = np.sum(g[on_sphere] * theta[on_sphere], axis=1) / nrm[on_sphere]
+        outward = radial > 0.0
+        residual[outward] -= radial[outward, None] * theta[outward] / nrm[outward, None]
+        done = np.linalg.norm(residual, axis=1) <= _KKT_TOL
+        snap = done & on_sphere
+        out[active[done]] = theta[done]
+        out[active[snap]] = theta[snap] / nrm[snap, None] * rho
+        keep = ~done
+        active, tt, g = active[keep], tt[keep], g[keep]
+        theta, psi, grad, cov = theta[keep], psi[keep], grad[keep], cov[keep]
+        if not len(active):
+            break
+        hess = LN2 * cov
+        step = _ball_maximizers(hess, g + (hess @ theta[:, :, None])[:, :, 0], rho) - theta
+        value = np.sum(theta * tt, axis=1) - psi
+        slope = np.sum(g * step, axis=1)
+        t = np.ones(len(active))
+        pending = np.arange(len(active))
+        for trial in range(60):
+            tp = t[pending]
+            cand = theta[pending] + tp[:, None] * step[pending]
+            c_psi, c_grad, c_cov = _moments_batch(tau, cand)
+            # the second test accepts a step whose predicted gain is below
+            # the rounding error of the objective; the last trial is taken
+            ok = ((np.sum(cand * tt[pending], axis=1) - c_psi
+                   >= value[pending] + 1e-4 * tp * slope[pending])
+                  | (tp * slope[pending] <= 1e-14 * (1.0 + np.abs(value[pending]))))
+            if trial == 59:
+                ok[:] = True
+            acc = pending[ok]
+            theta[acc], psi[acc], grad[acc], cov[acc] = cand[ok], c_psi[ok], c_grad[ok], c_cov[ok]
+            pending = pending[~ok]
+            if not len(pending):
+                break
+            t[pending] /= 2.0
+    if len(active):
+        raise RuntimeError(
+            "constrained likelihood maximization did not converge; "
+            "the statistic target may be numerically degenerate"
+        )
+    return out, _moments_batch(tau, out)[0]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .family import FamilySpec, entropy, evaluate, mle, varentropy
+from .family import FamilySpec, entropy, evaluate, mle_batch, varentropy
 from .quantized import Grid, build_type_index
-from .typeclass import TypeIndex, check_composition_budget, composition_array
+from .typeclass import TypeIndex, check_composition_budget, composition_array, group_rows
 
 LN2 = math.log(2.0)
 
@@ -248,14 +248,13 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     ev = evaluate(fam, source.theta_array)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, ev.pmf, size=samples)
-    uniq, weights = np.unique(counts, axis=0, return_counts=True)
-    zvals = np.empty(len(uniq))
-    for i, row in enumerate(uniq):
-        tau = (row.astype(float) @ fam.tau_array) / n
-        theta_hat = mle(fam, tau)
-        ev_hat = evaluate(fam, theta_hat)
-        loglik = n * (float(np.dot(theta_hat, tau)) - ev_hat.psi)
-        zvals[i] = (-loglik - n * h) / (math.sqrt(n) * sigma)
+    grouped, bounds, _ = group_rows(counts)
+    uniq = counts[grouped[bounds[:-1]]]
+    weights = np.diff(bounds)
+    taus = (uniq.astype(float) @ fam.tau_array) / n
+    theta_hat, psi_hat = mle_batch(fam, taus)
+    loglik = n * (np.einsum("ij,ij->i", theta_hat, taus) - psi_hat)
+    zvals = (-loglik - n * h) / (math.sqrt(n) * sigma)
     order = np.argsort(zvals)
     zs = zvals[order]
     wts = weights[order].astype(float)
@@ -283,45 +282,32 @@ def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
     check_composition_budget(n, fam_m, budget)
     comps = composition_array(n, fam_m)
     stats = (comps.astype(float) @ spec.tau_array) / n
-    slack = grid.side * math.sqrt(spec.d) / 2 + 1e-9
     bound = 2 * spec.kappa * grid.s
-    center_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
-    max_gap = 0.0
-    for row in range(comps.shape[0]):
-        tau = stats[row]
-        key = tuple(int(v) for v in grid.cell_index(tau))
-        if key not in center_cache:
-            center = grid.center_of_index(np.asarray(key))
-            theta_c = mle(spec, center, hull_slack=slack)
-            center_cache[key] = (theta_c, evaluate(spec, theta_c).psi)
-        theta_c, psi_c = center_cache[key]
-        theta_hat = mle(spec, tau, hull_slack=slack)
-        psi_hat = evaluate(spec, theta_hat).psi
-        lp_center = n * (float(np.dot(theta_c, tau)) - psi_c)
-        lp_hat = n * (float(np.dot(theta_hat, tau)) - psi_hat)
-        gap = max(lp_hat, lp_center) - lp_center
-        if gap > bound + 1e-9:
-            raise RuntimeError(
-                f"likelihood approximation gap {gap:.6g} exceeds 2*kappa*s = "
-                f"{bound:.6g} at counts {tuple(int(v) for v in comps[row])}"
-            )
-        max_gap = max(max_gap, gap)
-    return max_gap
+    keys = grid.cell_index(stats)
+    order, bounds, cell_of = group_rows(keys)
+    theta_c, psi_c = mle_batch(spec, grid.center_of_index(keys[order[bounds[:-1]]]))
+    theta_hat, psi_hat = mle_batch(spec, stats)
+    lp_center = n * (np.einsum("ij,ij->i", theta_c[cell_of], stats) - psi_c[cell_of])
+    lp_hat = n * (np.einsum("ij,ij->i", theta_hat, stats) - psi_hat)
+    gaps = np.maximum(lp_hat, lp_center) - lp_center
+    over = np.flatnonzero(gaps > bound + 1e-9)
+    if len(over):
+        row = int(over[0])
+        raise RuntimeError(
+            f"likelihood approximation gap {gaps[row]:.6g} exceeds 2*kappa*s = "
+            f"{bound:.6g} at counts {tuple(comps[row].tolist())}"
+        )
+    return float(gaps.max())
 
 
 def max_sandwich_deviation(spec: FamilySpec, grid: Grid, index: TypeIndex) -> float:
     """Max over all sequences of |log2 |T| - r(x^n)| for the class-size
     sandwich, where r uses the likelihood at the class's cuboid center."""
-    worst = 0.0
     n = index.n
-    logn = math.log2(n)
-    logs = math.log2(grid.s)
-    slack = grid.side * math.sqrt(spec.d) / 2 + 1e-9
     taus = (index.member_stats.astype(float) @ spec.tau_array) / n
-    for cls in index.classes:
-        theta_c = mle(spec, index.centers[cls.id], hull_slack=slack)
-        psi_c = evaluate(spec, theta_c).psi
-        lp = n * (taus[cls.members] @ theta_c - psi_c)
-        r = -lp - spec.d / 2 * logn + spec.d * logs
-        worst = max(worst, float(np.abs(math.log2(cls.size) - r).max()))
-    return worst
+    theta_c, psi_c = mle_batch(spec, index.centers)
+    cls = index.member_class
+    lp = n * (np.einsum("ij,ij->i", taus, theta_c[cls]) - psi_c[cls])
+    r = -lp - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
+    log2_sizes = np.fromiter(map(math.log2, index.sizes), float, count=len(index.sizes))
+    return float(np.abs(log2_sizes[cls] - r).max())

@@ -157,32 +157,62 @@ def unpack_path(alphabet_size: int, packed: int, n: int) -> list[int]:
     return out
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Groups of equal rows of a nonempty (N, k) array, in ascending
+    lexicographic order, from one stable sort: the row ids grouped (ids
+    ascending inside a group), the CSR bounds of the groups in that order,
+    and the group of each row."""
+    order = np.lexsort(rows.T[::-1])
+    grouped = rows[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(grouped[1:] != grouped[:-1], axis=1))))
+    bounds = np.append(starts, len(order))
+    group_of = np.empty(len(order), dtype=np.int64)
+    group_of[order] = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    return order, bounds, group_of
+
+
+class ClassColumns:
+    """The per-class columns of a TypeIndex that its class views read. It
+    holds no reference to the index, so views cached on the index form no
+    reference cycle."""
+
+    __slots__ = ("keys", "centers", "sizes", "members", "bounds")
+
+    def __init__(self, index: "TypeIndex"):
+        self.keys = index.keys
+        self.centers = index.centers
+        self.sizes = index.sizes
+        self.members = index.members
+        self.bounds = index.bounds
+
+
 class TypeClass:
     """One class of a TypeIndex, read through the index's columns."""
 
-    __slots__ = ("index", "id")
+    __slots__ = ("columns", "id")
 
-    def __init__(self, index: "TypeIndex", cid: int):
-        self.index = index
+    def __init__(self, columns: ClassColumns, cid: int):
+        self.columns = columns
         self.id = cid
 
     @property
     def key(self) -> tuple[int, ...]:
-        return tuple(self.index.keys[self.id].tolist())
+        return tuple(self.columns.keys[self.id].tolist())
 
     @property
     def center(self) -> tuple[float, ...]:
-        return tuple(self.index.centers[self.id].tolist())
+        return tuple(self.columns.centers[self.id].tolist())
 
     @property
     def size(self) -> int:
-        return self.index.sizes[self.id]
+        return self.columns.sizes[self.id]
 
     @property
     def members(self) -> np.ndarray:
         """Member ids of the class, ascending."""
-        bounds = self.index.bounds
-        return self.index.members[bounds[self.id]:bounds[self.id + 1]]
+        bounds = self.columns.bounds
+        return self.columns.members[bounds[self.id]:bounds[self.id + 1]]
 
 
 class TypeIndex:
@@ -205,16 +235,11 @@ class TypeIndex:
         self.mode = mode  # "quantized" | "point" | "markov"
         self.member_stats = member_stats
         # one stable sort: classes in key order, member ids ascending inside
-        members = np.lexsort(member_keys.T[::-1])
-        grouped = member_keys[members]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], np.any(grouped[1:] != grouped[:-1], axis=1))))
+        members, self.bounds, self.member_class = group_rows(member_keys)
+        starts = self.bounds[:-1]
         self.members = members
-        self.bounds = np.append(starts, len(members))
-        self.keys = grouped[starts]
+        self.keys = member_keys[members[starts]]
         self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
-        self.member_class = np.empty(len(members), dtype=np.int64)
-        self.member_class[members] = np.repeat(np.arange(len(starts)), np.diff(self.bounds))
         # member sizes once, in grouped order; a singleton class shares its
         # member's int
         grouped_sizes = np.array(member_sizes, dtype=object)[members]
@@ -228,8 +253,13 @@ class TypeIndex:
         return self.spec.alphabet.size
 
     @cached_property
+    def columns(self) -> ClassColumns:
+        return ClassColumns(self)
+
+    @cached_property
     def classes(self) -> tuple[TypeClass, ...]:
-        return tuple(TypeClass(self, c) for c in range(len(self.sizes)))
+        columns = self.columns
+        return tuple(TypeClass(columns, c) for c in range(len(self.sizes)))
 
     @cached_property
     def class_order(self) -> list[int]:
@@ -273,7 +303,7 @@ class TypeIndex:
         return tuple(y + 1 for y in digits)
 
     def class_of_sequence(self, xs) -> TypeClass:
-        return TypeClass(self, int(self.member_class[self.member_of(xs)[0]]))
+        return TypeClass(self.columns, int(self.member_class[self.member_of(xs)[0]]))
 
     def export_table(self) -> str:
         """One row per class: center coordinates, member count, exact size."""

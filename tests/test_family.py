@@ -13,6 +13,7 @@ from tscode.family import (
     evaluate,
     hull_distance,
     mle,
+    mle_batch,
     psi,
     seq_log_prob,
     suffstat,
@@ -297,3 +298,61 @@ def test_psi_shift_invariance(m, seed):
     theta = rng.normal(size=2) * 0.5
     assert psi(fam2, theta) == pytest.approx(
         psi(fam, theta) + float(np.dot(theta, shift)), abs=1e-9)
+
+
+def _kkt_residual(spec, target, theta):
+    """Gradient of the ML objective, less its outward radial part on the sphere."""
+    g = np.asarray(target) - evaluate(spec, theta).grad_psi
+    nrm = float(np.linalg.norm(theta))
+    if nrm >= spec.rho_max * (1 - 1e-12):
+        radial = float(np.dot(g, theta)) / nrm
+        if radial > 0.0:
+            g = g - radial * theta / nrm
+    return float(np.linalg.norm(g))
+
+
+@st.composite
+def batch_mle_cases(draw):
+    m = draw(st.integers(2, 5))
+    d = draw(st.integers(1, min(3, m - 1)))
+    tau = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(m)]
+    diffs = np.asarray(tau[1:], dtype=float) - np.asarray(tau[0], dtype=float)
+    if np.linalg.matrix_rank(diffs) < d:
+        tau[1:d + 1] = [[tau[0][j] + (1 if j == i else 0) for j in range(d)] for i in range(d)]
+    spec = FamilySpec.create(tau, rho_max=draw(st.floats(0.5, 30.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 12))
+    counts = np.vstack([n * np.eye(m, dtype=np.int64),
+                        rng.multinomial(n, np.full(m, 1.0 / m), size=draw(st.integers(0, 12)))])
+    weights = rng.dirichlet(np.full(m, 0.5), size=draw(st.integers(0, 12)))
+    targets = np.vstack([counts / n, weights]) @ spec.tau_array
+    return spec, targets
+
+
+@given(batch_mle_cases())
+@settings(max_examples=60, deadline=None)
+def test_mle_batch_matches_scalar_solves(case):
+    spec, full = case
+    for targets in (full, full[:1]):
+        thetas, psis = mle_batch(spec, targets)
+        assert thetas.shape == targets.shape and psis.shape == (len(targets),)
+        for target, theta, psi_row in zip(targets, thetas, psis):
+            assert np.linalg.norm(theta) <= spec.rho_max * (1 + 1e-15)
+            residual = _kkt_residual(spec, target, theta)
+            assert residual <= 1e-9
+            assert psi_row == pytest.approx(psi(spec, theta), abs=1e-12)
+            ref = mle(spec, target)
+            shortfall = (float(np.dot(ref, target)) - psi(spec, ref)
+                         - float(np.dot(theta, target)) + psi_row)
+            # the objective is concave, so the scalar solve can beat this row
+            # by at most its KKT residual times their distance; that term is
+            # what separates two rounding-divergent solves on a nearly flat
+            # objective (a vertex target in a wide ball)
+            assert shortfall <= 1e-12 + residual * float(np.linalg.norm(ref - theta))
+
+
+def test_mle_batch_empty_and_shape_checked(ternary):
+    thetas, psis = mle_batch(ternary, np.empty((0, 2)))
+    assert thetas.shape == (0, 2) and psis.shape == (0,)
+    with pytest.raises(SpecError):
+        mle_batch(ternary, np.zeros(2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tscode.codec import ClassOrdering
-from tscode.family import evaluate
+from tscode.family import FamilySpec, evaluate
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import (
     SourceSpec,
@@ -313,6 +313,15 @@ class TestMlApprox:
         for s in (0.5, 1.0, 2.0):
             gap = ml_approx_check(ternary, Grid.create(n=12, s=s, d=2), 12)
             assert 0 <= gap <= 2 * ternary.kappa * s
+
+    def test_gap_over_bound_names_first_composition(self, bernoulli, monkeypatch):
+        # a bound of 2 * 0.01 * 2 = 0.04 is exceeded at several compositions;
+        # the message names the first in colex order, as a per-row loop does
+        monkeypatch.setattr(FamilySpec, "kappa", property(lambda self: 0.01))
+        with pytest.raises(RuntimeError) as err:
+            ml_approx_check(bernoulli, Grid.create(n=16, s=2.0, d=1), 16)
+        assert str(err.value) == ("likelihood approximation gap 0.36499 exceeds "
+                                  "2*kappa*s = 0.04 at counts (13, 3)")
 
     def test_grid_mismatch_rejected(self, bernoulli):
         from tscode.errors import SpecError

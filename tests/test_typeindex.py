@@ -138,5 +138,8 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
         ordering = ClassOrdering(index)
         xs = (1,) * index.n
         assert ordering.decode(ordering.encode(xs)) == xs
+        # the cached class views must not hold the index that caches them
+        assert len(index.classes) == len(ordering.classes) == len(index.sizes)
+        assert index.class_of_sequence(xs).size >= 1
     del index, ordering, indexes
     assert gc.collect() == 0
