@@ -24,7 +24,6 @@ from .family import (
 from .markov import (
     MarkovFamilySpec,
     entropy_rate,
-    markov_codec,
     markov_eps_rate,
     markov_m_eps,
     markov_third_order_fit,

@@ -58,22 +58,29 @@ def index_of_string(bits: str) -> int:
 
 
 class ClassOrdering:
-    """Total order on sequences: classes ascending by (exact size, key)."""
+    """Total order on sequences: classes ascending by (exact size, key), the
+    order in which the index numbers them.
+
+    ``prefix`` is the enumerative-coding table (Cover 1973): the exact count
+    of sequences before each position of the index's member layout, so a
+    sequence's rank is its member's prefix plus its rank inside the member.
+    """
 
     def __init__(self, index):
         self.index = index
         self.n = index.n
         self.alphabet_size = index.alphabet_size
-        self._order = index.class_order
-        self._slot = np.empty(len(self._order), dtype=np.int64)
-        self._slot[self._order] = np.arange(len(self._order))
-        self.offsets = list(accumulate(map(index.sizes.__getitem__, self._order), initial=0))
-        self.total = self.offsets[-1]
+        self.prefix = list(accumulate(index.grouped_sizes, initial=0))
+        self.total = self.prefix[-1]
+
+    @property
+    def classes(self) -> tuple[TypeClass, ...]:
+        return self.index.classes
 
     @cached_property
-    def classes(self) -> list[TypeClass]:
-        columns = self.index.columns
-        return [TypeClass(columns, c) for c in self._order]
+    def offsets(self) -> list[int]:
+        """Rank of the first sequence of each class, then the total."""
+        return list(map(self.prefix.__getitem__, self.index.bounds.tolist()))
 
     def rank(self, xs) -> int:
         """Exact rank in [0, |X|^n); a bijection onto that range."""
@@ -81,19 +88,13 @@ class ClassOrdering:
         member, within = index.member_of(xs)
         c = int(index.member_class[member])
         lo, hi = index.bounds[c], index.bounds[c + 1]
-        pos = lo + int(np.searchsorted(index.members[lo:hi], member))
-        return self.offsets[self._slot[c]] + index.prefix[pos] - index.prefix[lo] + within
+        return self.prefix[lo + int(np.searchsorted(index.members[lo:hi], member))] + within
 
     def unrank(self, k: int) -> tuple[int, ...]:
         if not (0 <= k < self.total):
             raise ValueError(f"rank {k} outside [0, {self.total})")
-        slot = bisect_right(self.offsets, k) - 1
-        index = self.index
-        c = self._order[slot]
-        lo, hi = int(index.bounds[c]), int(index.bounds[c + 1])
-        target = index.prefix[lo] + k - self.offsets[slot]
-        pos = bisect_right(index.prefix, target, lo, hi) - 1
-        return index.sequence_of(int(index.members[pos]), target - index.prefix[pos])
+        pos = bisect_right(self.prefix, k) - 1
+        return self.index.sequence_of(int(self.index.members[pos]), k - self.prefix[pos])
 
     def encode(self, xs) -> Codeword:
         return string_of_index(self.rank(xs))

@@ -8,8 +8,8 @@ tau2 vectors, which is checked exactly at construction. The initial symbol
 x0 is a required field known to encoder and decoder.
 
 Type classes quantize the pair-statistic average over cuboids exactly as in
-the memoryless case; sizes are exact path counts from exhaustive enumeration
-(Monte Carlo gives unbiased estimates with standard errors above the budget).
+the memoryless case; sizes are exact path counts from exhaustive enumeration,
+which stops at the path budget.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, SpecError
-from .family import Alphabet
+from .family import Alphabet, FamilySpec
 from .quantized import Grid
 from .rates import FitReport, RateReport, _codebook_report, fit_excess, gaussian_Qinv
 from .typeclass import TypeIndex
@@ -84,17 +84,8 @@ class MarkovFamilySpec:
         shift = exps.max(axis=1, keepdims=True)
         return shift[:, 0] + np.log2(np.exp2(exps - shift).sum(axis=1))
 
-    def check_theta(self, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
-        if th.shape == () and self.d == 1:
-            th = th.reshape(1)
-        if th.shape != (self.d,):
-            raise SpecError(f"theta has shape {th.shape}, expected ({self.d},)")
-        if float(np.linalg.norm(th)) > self.rho_max * (1 + 1e-9) + 1e-12:
-            raise SpecError(
-                f"theta norm {np.linalg.norm(th):.6g} exceeds rho_max {self.rho_max:.6g}"
-            )
-        return th
+    # the same shape, finiteness and ball checks as a memoryless family
+    check_theta = FamilySpec.check_theta
 
     def psi(self, theta) -> float:
         """Base-2 log-normalizer: the log-sum of any row (all rows agree)."""
@@ -197,69 +188,25 @@ def _all_path_stats(mspec: MarkovFamilySpec, n: int) -> np.ndarray:
     return stats
 
 
-@dataclass(frozen=True)
-class MarkovSizeEstimates:
-    """Monte Carlo class-size estimates: unbiased, with standard errors."""
-
-    n: int
-    samples: int
-    seed: int
-    entries: tuple[tuple[tuple[int, ...], float, float], ...]  # key, est, se
-
-
 def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
-                      method: str = "exhaustive",
-                      budget_paths: int | None = None,
-                      samples: int = 100_000, seed: int = 0):
-    """Quantized pair-statistic type classes at blocklength n.
-
-    Exhaustive enumeration gives exact sizes (and the codec's member order);
-    above the path budget, the Monte Carlo method estimates sizes as
-    |X|^n times the empirical cell frequency under uniform path sampling.
-    """
+                      budget_paths: int | None = None) -> TypeIndex:
+    """Quantized pair-statistic type classes at blocklength n, with exact
+    sizes from enumerating all m^n paths (whose packed ids are the codec's
+    member order)."""
     if grid.n != n:
         raise SpecError(f"grid built for n={grid.n}, requested n={n}")
     if grid.d != mspec.d:
         raise SpecError(f"grid dimension {grid.d} does not match family d={mspec.d}")
     m = mspec.alphabet.size
     budget = DEFAULT_PATH_BUDGET if budget_paths is None else budget_paths
-    if method == "exhaustive":
-        # m^n >= 2^n > budget once n reaches the budget's bit length, so the
-        # power is only formed when it is small
-        if n >= budget.bit_length() or m ** n > budget:
-            raise BudgetError("path enumeration", f"{m}^{n}", budget,
-                              hint="use method='montecarlo'")
-        stats = _all_path_stats(mspec, n)
-        return TypeIndex(mspec, n, "markov", grid.cell_index(stats / n),
-                         [1] * len(stats), stats, grid.center_of_index)
-    if method == "montecarlo":
-        total = m ** n
-        rng = np.random.Generator(np.random.Philox(seed))
-        flat = mspec.tau2_array.reshape(m * m, mspec.d)
-        digits = rng.integers(0, m, size=(samples, n), dtype=np.int64)
-        prev = np.concatenate(
-            [np.full((samples, 1), mspec.x0 - 1, dtype=np.int64), digits[:, :-1]], axis=1)
-        stats = flat[(prev * m + digits).ravel()].reshape(samples, n, mspec.d).sum(axis=1)
-        keys = grid.cell_index(stats / n)
-        uniq, counts = np.unique(keys, axis=0, return_counts=True)
-        entries = []
-        for row, hits in zip(uniq, counts):
-            frac = hits / samples
-            # smoothed fraction inside the binomial standard error only
-            p_smooth = (hits + 0.5) / (samples + 1)
-            se = total * math.sqrt(p_smooth * (1 - p_smooth) / samples)
-            entries.append((tuple(int(v) for v in row), total * frac, se))
-        return MarkovSizeEstimates(n=n, samples=samples, seed=seed,
-                                   entries=tuple(entries))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def markov_codec(mspec: MarkovFamilySpec, n: int, grid: Grid,
-                 budget_paths: int | None = None):
-    """Sequence ordering over the exhaustive Markov index, ready to encode."""
-    from .codec import ClassOrdering
-    return ClassOrdering(markov_type_index(mspec, n, grid,
-                                           budget_paths=budget_paths))
+    # m^n >= 2^n > budget once n reaches the budget's bit length, so the
+    # power is only formed when it is small
+    if n >= budget.bit_length() or m ** n > budget:
+        raise BudgetError("path enumeration", f"{m}^{n}", budget,
+                          hint="raise --budget-paths")
+    stats = _all_path_stats(mspec, n)
+    return TypeIndex(mspec, n, "markov", grid.cell_index(stats / n),
+                     [1] * len(stats), stats, grid.center_of_index)
 
 
 def markov_class_masses(index: TypeIndex, theta) -> list[float]:

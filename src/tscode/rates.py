@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
 from .family import FamilySpec, entropy, evaluate, mle_batch, varentropy
 from .quantized import Grid, build_type_index
-from .typeclass import TypeIndex, check_composition_budget, composition_array, group_rows
+from .typeclass import TypeIndex, group_rows
 
 LN2 = math.log(2.0)
 
@@ -56,7 +55,7 @@ class RateReport:
 
 
 def class_masses(source: SourceSpec, index: TypeIndex) -> list[float]:
-    """Probability of each class under the true model, in class order.
+    """Probability of each class under the true model, in class id (codec) order.
 
     Each member composition weighs 2^(log2 size + counts . log2 p), computed
     in log space; the total over all classes is 1 to float accuracy.
@@ -85,16 +84,15 @@ def _ceil_log2(m: int) -> int:
 def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
     """Shared core of the codebook-size evaluator over the classes of any index.
 
-    Classes sorted ascending by exact size can only be cut between distinct
-    size values (the threshold is on the size itself); the report's gamma is
-    log2 of the largest kept size divided by n.
+    The index numbers its classes ascending by exact size, and they can only
+    be cut between distinct size values (the threshold is on the size
+    itself); the report's gamma is log2 of the largest kept size divided by n.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    order = index.class_order
-    sizes = np.array(index.sizes, dtype=object)[order]
-    mass_sorted = np.asarray(masses)[order].tolist()
-    ncls = len(order)
+    sizes = np.array(index.sizes, dtype=object)
+    mass_sorted = np.asarray(masses, dtype=float).tolist()
+    ncls = len(sizes)
     # compensated suffix masses: suffix[i] = mass of classes i..end
     suffix = [0.0] * (ncls + 1)
     acc = 0.0
@@ -276,16 +274,12 @@ def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
     parameters, so the reported gap is a lower bound on the true gap and is
     nonnegative by construction.
     """
-    if grid.n != n:
-        raise SpecError(f"grid built for n={grid.n}, requested n={n}")
-    fam_m = spec.alphabet.size
-    check_composition_budget(n, fam_m, budget)
-    comps = composition_array(n, fam_m)
+    index = build_type_index(spec, n, grid, budget=budget)
+    comps = index.member_stats
     stats = (comps.astype(float) @ spec.tau_array) / n
     bound = 2 * spec.kappa * grid.s
-    keys = grid.cell_index(stats)
-    order, bounds, cell_of = group_rows(keys)
-    theta_c, psi_c = mle_batch(spec, grid.center_of_index(keys[order[bounds[:-1]]]))
+    cell_of = index.member_class
+    theta_c, psi_c = mle_batch(spec, index.centers)
     theta_hat, psi_hat = mle_batch(spec, stats)
     lp_center = n * (np.einsum("ij,ij->i", theta_c[cell_of], stats) - psi_c[cell_of])
     lp_hat = n * (np.einsum("ij,ij->i", theta_hat, stats) - psi_hat)

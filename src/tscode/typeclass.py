@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,13 +217,14 @@ class TypeClass:
 class TypeIndex:
     """All type classes of one mode at one blocklength, stored as columns.
 
-    Per class (ids in ascending lexicographic key order): ``keys`` (K, kdim),
-    ``centers`` (K, d) and exact ``sizes`` (Python ints). Per member:
-    ``member_class``, ``member_stats`` (composition counts, or Markov
-    path-statistic sums), ``member_log2_sizes`` (log2 of the member's exact
-    sequence count), and ``members``, the member ids grouped by class (CSR
-    ``bounds``, ascending inside a class) with ``prefix``, the exact count of
-    sequences before each position of that grouping.
+    Classes are numbered in codec order, ascending by (exact size, key), the
+    order in which the type-size code ranks them. Per class: ``keys`` (K,
+    kdim), ``centers`` (K, d) and exact ``sizes`` (Python ints). Per member,
+    by member id: ``member_class``, ``member_stats`` (composition counts, or
+    Markov path-statistic sums) and ``member_log2_sizes`` (log2 of the
+    member's exact sequence count). ``members`` holds the member ids grouped
+    by class (CSR ``bounds``, ascending inside a class), and
+    ``grouped_sizes`` the members' exact sequence counts in that layout.
     """
 
     def __init__(self, spec, n: int, mode: str, member_keys: np.ndarray,
@@ -234,19 +234,34 @@ class TypeIndex:
         self.n = n
         self.mode = mode  # "quantized" | "point" | "markov"
         self.member_stats = member_stats
-        # one stable sort: classes in key order, member ids ascending inside
-        members, self.bounds, self.member_class = group_rows(member_keys)
-        starts = self.bounds[:-1]
-        self.members = members
-        self.keys = member_keys[members[starts]]
-        self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
-        # member sizes once, in grouped order; a singleton class shares its
-        # member's int
-        grouped_sizes = np.array(member_sizes, dtype=object)[members]
-        self.prefix = list(accumulate(grouped_sizes.tolist(), initial=0))
-        self.sizes = np.add.reduceat(grouped_sizes, starts).tolist()
         self.member_log2_sizes = np.fromiter(map(math.log2, member_sizes), float,
-                                             count=len(members))
+                                             count=len(member_stats))
+        # one stable sort: classes in key order, member ids ascending inside;
+        # a singleton class shares its member's int
+        members, bounds, member_class = group_rows(member_keys)
+        grouped_sizes = np.array(member_sizes, dtype=object)[members]
+        sizes = np.add.reduceat(grouped_sizes, bounds[:-1]).tolist()
+        # codec order: a stable argsort of log2 sizes (a singleton's is its
+        # member's) leaves only near-equal sizes out of order, and equal sizes
+        # have equal logs, so ties keep their key order; the stable sort by
+        # exact size then runs over nearly sorted ids
+        log2_sizes = self.member_log2_sizes[members[bounds[:-1]]]
+        merged = np.flatnonzero(np.diff(bounds) > 1)
+        log2_sizes[merged] = [math.log2(sizes[c]) for c in merged.tolist()]
+        order = np.array(sorted(np.argsort(log2_sizes, kind="stable").tolist(),
+                                key=sizes.__getitem__), dtype=np.int64)
+        # renumber the classes in that order and move their member runs along
+        self.sizes = list(map(sizes.__getitem__, order.tolist()))
+        counts = np.diff(bounds)[order]
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
+        gather = np.repeat(bounds[order] - self.bounds[:-1], counts) + np.arange(len(members))
+        self.members = members[gather]
+        self.grouped_sizes = grouped_sizes[gather]
+        slot = np.empty(len(order), dtype=np.int64)
+        slot[order] = np.arange(len(order))
+        self.member_class = slot[member_class]
+        self.keys = member_keys[self.members[self.bounds[:-1]]]
+        self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
 
     @property
     def alphabet_size(self) -> int:
@@ -261,28 +276,13 @@ class TypeIndex:
         columns = self.columns
         return tuple(TypeClass(columns, c) for c in range(len(self.sizes)))
 
-    @cached_property
-    def class_order(self) -> list[int]:
-        """Class ids ascending by (exact size, key): the codec's class order.
-
-        A stable argsort of log2 sizes leaves only near-equal sizes out of
-        order, and equal sizes have equal logs, so ties keep their key order;
-        the stable sort by exact size then runs over nearly sorted ids.
-        """
-        # a singleton class's log2 size is its member's
-        log2_sizes = self.member_log2_sizes[self.members[self.bounds[:-1]]]
-        merged = np.flatnonzero(np.diff(self.bounds) > 1)
-        log2_sizes[merged] = [math.log2(self.sizes[c]) for c in merged.tolist()]
-        rough = np.argsort(log2_sizes, kind="stable").tolist()
-        return sorted(rough, key=self.sizes.__getitem__)
-
     def class_sums(self, log2_weights: np.ndarray) -> list[float]:
         """Per-class sums of 2^w over per-member log2 weights w."""
         return np.bincount(self.member_class, weights=np.exp2(log2_weights),
                            minlength=len(self.sizes)).tolist()
 
     def total_size(self) -> int:
-        return self.prefix[-1]
+        return sum(self.sizes)
 
     def member_of(self, xs) -> tuple[int, int]:
         """The member holding a length-n sequence, and the sequence's rank in it."""

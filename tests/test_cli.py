@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -228,16 +229,22 @@ class TestEncodeDecodeCommands:
         parsed = containerfmt.unpack(cont.read_bytes())
         assert parsed.codeword.length <= 1  # singleton class ranks first
 
-    def test_forged_huge_markov_n_exits_4(self, workdir, capsys):
+    @pytest.mark.parametrize("spec_file, mode, header, needed", [
+        ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), "2^4294967295"),
+        ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), str(2 ** 32)),
+        ("sqrt2.spec", "point", dict(s=0.0, anchor=(), x0=None), str(math.comb(2 ** 32 + 1, 2))),
+    ], ids=["markov", "quantized", "point"])
+    def test_forged_huge_n_exits_4(self, workdir, capsys, spec_file, mode, header, needed):
+        spec = workdir / spec_file
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
-            spec_hash=parse_spec_text(FLIP_SPEC).spec_hash, mode="markov", s=1.0,
-            anchor=(0.0,), x0=1, n=2 ** 32 - 1, codeword=Codeword("101"))))
+            spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
+            n=2 ** 32 - 1, codeword=Codeword("101"), **header)))
         start = time.perf_counter()
-        assert main(["decode", "--spec", str(workdir / "flip.spec"), "--mode", "markov",
+        assert main(["decode", "--spec", str(spec), "--mode", mode,
                      str(cont), str(workdir / "never.txt")]) == 4
         assert time.perf_counter() - start < 5.0
-        assert "2^4294967295" in capsys.readouterr().err
+        assert f"requires {needed} items" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
 
     def test_decode_into_directory_exits_1_without_temp_files(self, workdir, capsys):

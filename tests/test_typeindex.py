@@ -36,7 +36,10 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
     index = ordering.index
     n = index.n
     seqs = list(product(range(1, m + 1), repeat=n))
-    slot_of = {cls.id: i for i, cls in enumerate(ordering.classes)}
+    # class ids are the codec slots, and (size, key) ascends along the columns
+    assert [c.id for c in ordering.classes] == list(range(len(index.sizes)))
+    pairs = list(zip(index.sizes, map(tuple, index.keys.tolist())))
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
     ranks = []
     exhaustive = [[] for _ in index.sizes]
     for xs in seqs:
@@ -45,12 +48,10 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
         assert ordering.unrank(r) == xs
         cls = index.class_of_sequence(xs)
         assert cls.key == key_of(xs)
-        slot = slot_of[cls.id]
-        assert ordering.offsets[slot] <= r < ordering.offsets[slot + 1]
+        assert ordering.offsets[cls.id] <= r < ordering.offsets[cls.id + 1]
         exhaustive[cls.id].append(prob_of(xs))
     assert sorted(ranks) == list(range(m ** n)) == list(range(ordering.total))
-    pairs = [(c.size, c.key) for c in ordering.classes]
-    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    assert pairs == [(c.size, c.key) for c in ordering.classes]
     assert [len(probs) for probs in exhaustive] == index.sizes
     for mass, probs in zip(masses, exhaustive):
         assert abs(mass - math.fsum(probs)) <= 1e-12
