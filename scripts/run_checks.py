@@ -15,13 +15,8 @@ import math
 import sys
 
 from tscode.family import FamilySpec
-from tscode.quantized import Grid, build_type_index
-from tscode.rates import (
-    SourceSpec,
-    max_sandwich_deviation,
-    ml_approx_check,
-    normality_check,
-)
+from tscode.quantized import Grid
+from tscode.rates import SourceSpec, ml_approx_check, normality_check, sandwich_sweep
 
 
 def main(argv=None) -> int:
@@ -50,16 +45,10 @@ def main(argv=None) -> int:
     violated = False
     for name, fam in wide.items():
         for s in (0.5, 1.0, 2.0):
-            g8 = Grid.create(n=8, s=s, d=fam.d)
-            dev8 = max_sandwich_deviation(fam, g8, build_type_index(fam, 8, g8))
-            cstar = max(0.0, dev8 - 2 * fam.kappa * s)
-            devs = []
-            for n in (16, 32, 64):
-                grid = Grid.create(n=n, s=s, d=fam.d)
-                devs.append(max_sandwich_deviation(
-                    fam, grid, build_type_index(fam, n, grid)))
+            (_, _, cstar, _), *rest = sandwich_sweep(fam, (8, 16, 32, 64), s)
+            devs = [dev for _, dev, _, _ in rest]
             bound = 2 * fam.kappa * s + cstar
-            ok = all(d <= bound + 1e-9 for d in devs)
+            ok = all(fits for *_, fits in rest)
             violated = violated or not ok
             status = "ok" if ok else "VIOLATED"
             print(f"  {name} s={s}: C*={cstar:.3f} deviations "

@@ -24,9 +24,7 @@ from .family import (
 from .markov import (
     MarkovFamilySpec,
     entropy_rate,
-    markov_eps_rate,
     markov_m_eps,
-    markov_third_order_fit,
     markov_type_index,
     stationary_dist,
     transition_matrix,
@@ -46,6 +44,7 @@ from .rates import (
     FitReport,
     RateReport,
     SourceSpec,
+    build_index,
     eps_rate,
     gaussian_Q,
     gaussian_Qinv,

@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,15 @@ import numpy as np
 from . import container as containerfmt
 from .codec import ClassOrdering
 from .errors import BudgetError, ContainerError, SchemaError, SpecError
-from .markov import markov_m_eps, markov_third_order_fit, markov_type_index
-from .pointtypes import derive_lattice, point_type_index
-from .quantized import Grid, build_type_index
+from .pointtypes import derive_lattice
+from .quantized import Grid
 from .rates import (
     SourceSpec,
+    build_index,
     m_eps,
-    max_sandwich_deviation,
     ml_approx_check,
     normality_check,
+    sandwich_sweep,
     third_order_fit,
 )
 from .report import render_fit_svg, render_report
@@ -154,18 +154,16 @@ def _read_sequence(path: Path) -> tuple[int, ...]:
         raise SchemaError(f"sequence file {path} must contain integer symbols") from None
 
 
+def _family(cfg: RunConfig):
+    # straight from the spec, not through SourceSpec: the codec never reads
+    # theta_star, so it must not be checked against the ball here
+    return cfg.spec.markov or cfg.spec.family
+
+
 def _build_index(cfg: RunConfig, n: int):
-    if cfg.mode == "markov":
-        ms = cfg.spec.markov
-        grid = Grid.create(n=n, s=cfg.s, d=ms.d, anchor=cfg.anchor)
-        return markov_type_index(ms, n, grid, budget_paths=cfg.budget_paths)
-    if cfg.mode == "point":
-        lmap = derive_lattice(cfg.spec.stat_map)
-        return point_type_index(cfg.spec.family, lmap, n,
-                                budget=cfg.budget_compositions)
-    fam = cfg.spec.family
-    grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
-    return build_type_index(fam, n, grid, budget=cfg.budget_compositions)
+    return build_index(_family(cfg), cfg.mode, n, s=cfg.s, anchor=cfg.anchor,
+                       stat_map=cfg.spec.stat_map, budget=cfg.budget_compositions,
+                       budget_paths=cfg.budget_paths)
 
 
 def cmd_validate(args) -> int:
@@ -200,12 +198,12 @@ def cmd_encode(args) -> int:
     seq = _read_sequence(Path(args.input))
     codeword = ClassOrdering(_build_index(cfg, len(seq))).encode(seq)
     ms = cfg.spec.markov
+    point = cfg.mode == "point"  # point classes use no grid: s = 0, no anchor
     payload = containerfmt.pack(containerfmt.Container(
         spec_hash=cfg.spec.spec_hash,
         mode=cfg.mode,
-        s=cfg.s if cfg.mode != "point" else 0.0,
-        anchor=cfg.anchor or ((0.0,) * (ms.d if ms else cfg.spec.family.d)
-                              if cfg.mode != "point" else ()),
+        s=0.0 if point else cfg.s,
+        anchor=() if point else (cfg.anchor or (0.0,) * _family(cfg).d),
         x0=ms.x0 if ms else None,
         n=len(seq),
         codeword=codeword,
@@ -232,8 +230,8 @@ def cmd_decode(args) -> int:
         raise ContainerError(f"container mode {cont.mode} does not match --mode {cfg.mode}")
     if cont.mode == "markov" and cont.x0 != cfg.spec.markov.x0:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
-    run = RunConfig(**{**cfg.__dict__, "s": cont.s if cont.mode != "point" else cfg.s,
-                       "anchor": cont.anchor if cont.mode != "point" else None})
+    # the grid comes from the container (point classes ignore it)
+    run = replace(cfg, s=cont.s, anchor=cont.anchor)
     seq = ClassOrdering(_build_index(run, cont.n)).decode(cont.codeword)
     _atomic_write(Path(args.output), " ".join(str(v) for v in seq) + "\n")
     print(f"decoded {cont.n} symbols")
@@ -241,7 +239,7 @@ def cmd_decode(args) -> int:
 
 
 def _source_of(cfg: RunConfig) -> SourceSpec:
-    return SourceSpec(cfg.spec.family, cfg.spec.theta_star)
+    return SourceSpec(_family(cfg), cfg.spec.theta_star)
 
 
 def cmd_rate(args) -> int:
@@ -249,11 +247,7 @@ def cmd_rate(args) -> int:
     rows = []
     for n in cfg.n_list:
         index = _build_index(cfg, n)
-        if cfg.mode == "markov":
-            rep = markov_m_eps(index, np.asarray(cfg.spec.theta_star), cfg.epsilon)
-        else:
-            rep = m_eps(_source_of(cfg), index, cfg.epsilon)
-        rows.append(rep)
+        rows.append(m_eps(_source_of(cfg), index, cfg.epsilon))
     print(f"{'n':>6} {'epsilon':>8} {'gamma':>12} {'rate':>10}  M")
     for rep in rows:
         print(f"{rep.n:>6} {rep.epsilon:>8.4f} {rep.gamma:>12.6f} {rep.rate:>10.6f}  {rep.M}")
@@ -270,15 +264,11 @@ def cmd_fit(args) -> int:
     cfg = _build_config(args, need_n=True)
     if len(cfg.n_list) < 3:
         raise SpecError("--n-grid needs at least 3 blocklengths for a slope fit")
-    if cfg.mode == "markov":
-        rep = markov_third_order_fit(cfg.spec.markov, np.asarray(cfg.spec.theta_star),
-                                     cfg.n_list, cfg.epsilon, s=cfg.s,
-                                     anchor=cfg.anchor, budget_paths=cfg.budget_paths)
-    else:
-        rep = third_order_fit(_source_of(cfg), cfg.n_list, cfg.epsilon,
-                              mode=cfg.mode, s=cfg.s, anchor=cfg.anchor,
-                              stat_map=cfg.spec.stat_map,
-                              budget=cfg.budget_compositions)
+    rep = third_order_fit(_source_of(cfg), cfg.n_list, cfg.epsilon,
+                          mode=cfg.mode, s=cfg.s, anchor=cfg.anchor,
+                          stat_map=cfg.spec.stat_map,
+                          budget=cfg.budget_compositions,
+                          budget_paths=cfg.budget_paths)
     print(f"mode {rep.mode}  slope {rep.slope:.4f}  intercept {rep.intercept:.4f}")
     for (n, rate, y), resid in zip(rep.points, rep.residuals):
         print(f"  n={n:>6} rate={rate:.6f} excess={y:+.4f} residual={resid:+.4f}")
@@ -309,19 +299,13 @@ def cmd_check(args) -> int:
         print(f"  n={n:>5}: max gap {gap:.6f} <= bound {bound:.6f}")
         fields.append(("ml_gap", f"n={n} gap={gap!r} bound={bound!r}"))
     print("class-size sandwich deviation (constant fitted at the smallest n):")
-    base_n = cfg.n_list[0]
-    grid0 = Grid.create(n=base_n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
-    dev0 = max_sandwich_deviation(
-        fam, grid0, build_type_index(fam, base_n, grid0, budget=cfg.budget_compositions))
-    cstar = max(0.0, dev0 - 2 * fam.kappa * cfg.s)
-    fields.append(("sandwich_fit", f"n={base_n} dev={dev0!r} cstar={cstar!r}"))
-    print(f"  n={base_n:>5}: deviation {dev0:.6f} (fit C*={cstar:.6f})")
     violated = False
-    for n in cfg.n_list[1:]:
-        grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
-        dev = max_sandwich_deviation(
-            fam, grid, build_type_index(fam, n, grid, budget=cfg.budget_compositions))
-        ok = dev <= 2 * fam.kappa * cfg.s + cstar + 1e-9
+    for n, dev, cstar, ok in sandwich_sweep(fam, cfg.n_list, cfg.s, anchor=cfg.anchor,
+                                            budget=cfg.budget_compositions):
+        if n == cfg.n_list[0]:
+            fields.append(("sandwich_fit", f"n={n} dev={dev!r} cstar={cstar!r}"))
+            print(f"  n={n:>5}: deviation {dev:.6f} (fit C*={cstar:.6f})")
+            continue
         violated = violated or not ok
         print(f"  n={n:>5}: deviation {dev:.6f} bound {2 * fam.kappa * cfg.s + cstar:.6f} "
               f"{'ok' if ok else 'VIOLATED'}")

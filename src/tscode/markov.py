@@ -23,7 +23,6 @@ import numpy as np
 from .errors import BudgetError, SpecError
 from .family import Alphabet, FamilySpec
 from .quantized import Grid
-from .rates import FitReport, RateReport, _codebook_report, fit_excess, gaussian_Qinv
 from .typeclass import TypeIndex
 
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -209,38 +208,15 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
                      [1] * len(stats), stats, grid.center_of_index)
 
 
+# tsbench's analysis workload and tracer call these two by name; rates
+# imports this module, so they import rates when called
 def markov_class_masses(index: TypeIndex, theta) -> list[float]:
-    """Exact per-class probabilities under the chain started at x0."""
-    th = index.spec.check_theta(theta)
-    return index.class_sums(index.member_stats @ th - index.n * index.spec.psi(th))
+    """``rates.class_masses`` of the chain at theta, started at x0."""
+    from . import rates
+    return rates.class_masses(rates.SourceSpec(index.spec, theta), index)
 
 
-def markov_m_eps(index: TypeIndex, theta_star, epsilon: float) -> RateReport:
-    return _codebook_report(index, markov_class_masses(index, theta_star), epsilon)
-
-
-def markov_eps_rate(index: TypeIndex, theta_star, epsilon: float) -> float:
-    return markov_m_eps(index, theta_star, epsilon).rate
-
-
-def markov_third_order_fit(mspec: MarkovFamilySpec, theta_star, n_list,
-                           epsilon: float, s: float = 1.0, anchor=None,
-                           budget_paths: int | None = None) -> FitReport:
-    """Excess-rate slope fit for the Markov code; diagnostic at desk scale
-    (exhaustive blocklengths are small, so residuals run wide)."""
-    ns = list(n_list)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 blocklengths to fit a slope")
-    h = entropy_rate(mspec, theta_star)
-    sigma = math.sqrt(varentropy_rate(mspec, theta_star))
-    qi = gaussian_Qinv(epsilon)
-    points = []
-    for n in ns:
-        grid = Grid.create(n=n, s=s, d=mspec.d, anchor=anchor)
-        index = markov_type_index(mspec, n, grid, budget_paths=budget_paths)
-        rate = markov_eps_rate(index, theta_star, epsilon)
-        y = n * rate - n * h - sigma * math.sqrt(n) * qi
-        points.append((n, rate, y))
-    slope, intercept, residuals = fit_excess(points)
-    return FitReport(slope=slope, intercept=intercept, residuals=residuals,
-                     points=tuple(points), mode="markov", epsilon=epsilon)
+def markov_m_eps(index: TypeIndex, theta_star, epsilon: float):
+    """``rates.m_eps`` of the chain at theta_star, started at x0."""
+    from . import rates
+    return rates.m_eps(rates.SourceSpec(index.spec, theta_star), index, epsilon)

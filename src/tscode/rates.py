@@ -15,21 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilySpec, entropy, evaluate, mle_batch, varentropy
+from .markov import MarkovFamilySpec, entropy_rate, markov_type_index, varentropy_rate
+from .pointtypes import ExactStatMap, derive_lattice, point_type_index
 from .quantized import Grid, build_type_index
 from .typeclass import TypeIndex, group_rows
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """A family together with the true model generating the data."""
+    """A memoryless or Markov family with the true model generating the data
+    (``theta_star``, kept as a float tuple checked against the family)."""
 
-    family: FamilySpec
+    family: FamilySpec | MarkovFamilySpec
     theta_star: tuple[float, ...]
 
     def __post_init__(self):
-        self.family.check_theta(np.asarray(self.theta_star))
+        theta = self.family.check_theta(self.theta_star)
+        object.__setattr__(self, "theta_star", tuple(theta.tolist()))
+
+    @property
+    def markov(self) -> bool:
+        return isinstance(self.family, MarkovFamilySpec)
 
     @property
     def theta_array(self) -> np.ndarray:
@@ -37,11 +43,13 @@ class SourceSpec:
 
     @property
     def entropy(self) -> float:
-        return entropy(self.family, self.theta_array)
+        """Entropy per symbol, or the chain's entropy rate, in bits."""
+        return (entropy_rate if self.markov else entropy)(self.family, self.theta_array)
 
     @property
     def varentropy(self) -> float:
-        return varentropy(self.family, self.theta_array)
+        """Varentropy per symbol, or the chain's varentropy rate, in bits^2."""
+        return (varentropy_rate if self.markov else varentropy)(self.family, self.theta_array)
 
 
 @dataclass(frozen=True)
@@ -57,48 +65,45 @@ class RateReport:
 def class_masses(source: SourceSpec, index: TypeIndex) -> list[float]:
     """Probability of each class under the true model, in class id (codec) order.
 
-    Each member composition weighs 2^(log2 size + counts . log2 p), computed
-    in log space; the total over all classes is 1 to float accuracy.
+    Each member weighs 2^(log2 size + log2 p), computed in log space: a
+    composition's sequences have log2 p = counts . log2 pmf, and a Markov
+    path (size 1) has log2 p = stats . theta - n psi(theta). The total over
+    all classes is 1 to float accuracy.
     """
-    ev = evaluate(source.family, source.theta_array)
-    return index.class_sums(index.member_log2_sizes + index.member_stats @ np.log2(ev.pmf))
+    theta = source.theta_array
+    if source.markov:
+        loglik = index.member_stats @ theta - index.n * source.family.psi(theta)
+    else:
+        loglik = index.member_stats @ np.log2(evaluate(source.family, theta).pmf)
+    return index.class_sums(index.member_log2_sizes + loglik)
 
 
 def overflow_prob(source: SourceSpec, index: TypeIndex, gamma: float) -> float:
     """Exact P[log2 |T(X^n)| > n*gamma] under the true model."""
     masses = class_masses(source, index)
-    bound = index.n * gamma
-    total = math.fsum(
-        mass for size, mass in zip(index.sizes, masses)
-        if math.log2(size) > bound
-    )
+    over = index.log2_sizes > index.n * gamma
+    total = math.fsum(mass for mass, big in zip(masses, over.tolist()) if big)
     return min(max(total, 0.0), 1.0)
 
 
-def _ceil_log2(m: int) -> int:
-    if m < 1:
-        raise ValueError("codebook size must be positive")
-    return (m - 1).bit_length()
-
-
-def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
-    """Shared core of the codebook-size evaluator over the classes of any index.
+def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:
+    """Smallest codebook size over class-size thresholds with overflow <= eps.
 
     The index numbers its classes ascending by exact size, and they can only
     be cut between distinct size values (the threshold is on the size
     itself); the report's gamma is log2 of the largest kept size divided by n.
     """
+    masses = class_masses(source, index)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
     sizes = np.array(index.sizes, dtype=object)
-    mass_sorted = np.asarray(masses, dtype=float).tolist()
     ncls = len(sizes)
     # compensated suffix masses: suffix[i] = mass of classes i..end
     suffix = [0.0] * (ncls + 1)
     acc = 0.0
     comp = 0.0
     for i in range(ncls - 1, -1, -1):
-        y = mass_sorted[i] - comp
+        y = masses[i] - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
@@ -112,14 +117,10 @@ def _codebook_report(index: TypeIndex, masses, epsilon: float) -> RateReport:
     best = int(admissible[0])
     m_total = int(sizes[:best].sum())
     n = index.n
-    gamma = math.log2(sizes[best - 1]) / n
+    gamma = float(index.log2_sizes[best - 1]) / n
+    # the rate is ceil(log2 M) / n, with M >= 1 (every class has a member)
     return RateReport(n=n, epsilon=epsilon, gamma=gamma, M=m_total,
-                      rate=_ceil_log2(m_total) / n, mode=index.mode)
-
-
-def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:
-    """Smallest codebook size over class-size thresholds with overflow <= eps."""
-    return _codebook_report(index, class_masses(source, index), epsilon)
+                      rate=(m_total - 1).bit_length() / n, mode=index.mode)
 
 
 def eps_rate(source: SourceSpec, index: TypeIndex, epsilon: float) -> float:
@@ -173,20 +174,6 @@ def fit_line(xs, ys) -> tuple[float, float]:
     return float(sol[0]), float(sol[1])
 
 
-def third_order_points(source: SourceSpec, indexes: dict[int, TypeIndex],
-                       epsilon: float) -> list[tuple[int, float, float]]:
-    """Per-n excess y(n) = n*rate - n*H - sigma*sqrt(n)*Qinv(eps)."""
-    h = source.entropy
-    sigma = math.sqrt(source.varentropy)
-    qi = gaussian_Qinv(epsilon)
-    pts = []
-    for n in sorted(indexes):
-        rate = eps_rate(source, indexes[n], epsilon)
-        y = n * rate - n * h - sigma * math.sqrt(n) * qi
-        pts.append((n, rate, y))
-    return pts
-
-
 def fit_excess(points) -> tuple[float, float, tuple[float, ...]]:
     xs = [math.log2(n) for n, _, _ in points]
     ys = [y for _, _, y in points]
@@ -195,33 +182,53 @@ def fit_excess(points) -> tuple[float, float, tuple[float, ...]]:
     return slope, intercept, residuals
 
 
+def build_index(family, mode: str, n: int, s: float = 1.0, anchor=None,
+                stat_map=None, budget: int | None = None,
+                budget_paths: int | None = None) -> TypeIndex:
+    """The type index of one mode at blocklength n: compositions ("quantized")
+    or paths ("markov") by the grid cuboid of their statistic average, or
+    compositions by exact lattice point ("point", from ``stat_map`` or else
+    the family's rational tau). ``budget`` caps compositions, ``budget_paths``
+    paths."""
+    if mode not in ("quantized", "point", "markov"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if (mode == "markov") != isinstance(family, MarkovFamilySpec):
+        raise ValueError(f"mode {mode} does not fit a {type(family).__name__}")
+    if mode == "point":
+        if stat_map is None:
+            stat_map = ExactStatMap.from_rational_tau(family)
+        return point_type_index(family, derive_lattice(stat_map), n, budget=budget)
+    grid = Grid.create(n=n, s=s, d=family.d, anchor=anchor)
+    if mode == "markov":
+        return markov_type_index(family, n, grid, budget_paths=budget_paths)
+    return build_type_index(family, n, grid, budget=budget)
+
+
 def third_order_fit(source: SourceSpec, n_list, epsilon: float,
                     mode: str = "quantized", s: float = 1.0, anchor=None,
-                    stat_map=None, budget: int | None = None) -> FitReport:
-    """Build per-n indexes, evaluate rates, and fit the excess vs log2 n.
+                    stat_map=None, budget: int | None = None,
+                    budget_paths: int | None = None) -> FitReport:
+    """Fit the excess y(n) = n*rate - n*H - sigma*sqrt(n)*Qinv(eps) against
+    log2 n, building and evaluating one blocklength's index at a time.
 
     The slope estimates d/2 - 1 in quantized mode and d'/2 - 1 in point mode.
+    In Markov mode it is diagnostic at desk scale: exhaustive blocklengths
+    are small, so residuals run wide.
     """
     ns = list(n_list)
     if sorted(set(ns)) != ns:
         raise ValueError("n_list must be strictly increasing")
     if len(ns) < 3:
         raise ValueError("need at least 3 blocklengths to fit a slope")
-    indexes: dict[int, TypeIndex] = {}
-    if mode == "quantized":
-        for n in ns:
-            grid = Grid.create(n=n, s=s, d=source.family.d, anchor=anchor)
-            indexes[n] = build_type_index(source.family, n, grid, budget=budget)
-    elif mode == "point":
-        from .pointtypes import ExactStatMap, derive_lattice, point_type_index
-        if stat_map is None:
-            stat_map = ExactStatMap.from_rational_tau(source.family)
-        lmap = derive_lattice(stat_map)
-        for n in ns:
-            indexes[n] = point_type_index(source.family, lmap, n, budget=budget)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    points = third_order_points(source, indexes, epsilon)
+    h = source.entropy
+    sigma = math.sqrt(source.varentropy)
+    qi = gaussian_Qinv(epsilon)
+    points = []
+    for n in ns:
+        index = build_index(source.family, mode, n, s=s, anchor=anchor, stat_map=stat_map,
+                            budget=budget, budget_paths=budget_paths)
+        rate = eps_rate(source, index, epsilon)
+        points.append((n, rate, n * rate - n * h - sigma * math.sqrt(n) * qi))
     slope, intercept, residuals = fit_excess(points)
     return FitReport(slope=slope, intercept=intercept, residuals=residuals,
                      points=tuple(points), mode=mode, epsilon=epsilon)
@@ -235,6 +242,8 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     counts, so this matches i.i.d. sequence draws) from a counter-based
     Philox generator; a fixed seed reproduces the statistic bit for bit.
     """
+    if source.markov:
+        raise ValueError("the normality check covers memoryless sources only")
     if samples < 10_000:
         raise ValueError("normality check needs at least 1e4 samples")
     sigma2 = source.varentropy
@@ -303,5 +312,19 @@ def max_sandwich_deviation(spec: FamilySpec, grid: Grid, index: TypeIndex) -> fl
     cls = index.member_class
     lp = n * (np.einsum("ij,ij->i", taus, theta_c[cls]) - psi_c[cls])
     r = -lp - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
-    log2_sizes = np.fromiter(map(math.log2, index.sizes), float, count=len(index.sizes))
-    return float(np.abs(log2_sizes[cls] - r).max())
+    return float(np.abs(index.log2_sizes[cls] - r).max())
+
+
+def sandwich_sweep(spec: FamilySpec, n_list, s: float, anchor=None,
+                   budget: int | None = None):
+    """Yield (n, dev, C*, ok) per blocklength for the class-size sandwich:
+    C* = max(0, dev(n0) - 2*kappa*s) is fitted at the first n and ok is
+    dev <= 2*kappa*s + C* + 1e-9."""
+    bound = 2 * spec.kappa * s
+    cstar = None
+    for n in n_list:
+        grid = Grid.create(n=n, s=s, d=spec.d, anchor=anchor)
+        dev = max_sandwich_deviation(spec, grid, build_type_index(spec, n, grid, budget=budget))
+        if cstar is None:
+            cstar = max(0.0, dev - bound)
+        yield n, dev, cstar, dev <= bound + cstar + 1e-9

@@ -219,7 +219,8 @@ class TypeIndex:
 
     Classes are numbered in codec order, ascending by (exact size, key), the
     order in which the type-size code ranks them. Per class: ``keys`` (K,
-    kdim), ``centers`` (K, d) and exact ``sizes`` (Python ints). Per member,
+    kdim), ``centers`` (K, d), exact ``sizes`` (Python ints) and
+    ``log2_sizes`` (math.log2 of each exact size). Per member,
     by member id: ``member_class``, ``member_stats`` (composition counts, or
     Markov path-statistic sums) and ``member_log2_sizes`` (log2 of the
     member's exact sequence count). ``members`` holds the member ids grouped
@@ -252,6 +253,7 @@ class TypeIndex:
                                 key=sizes.__getitem__), dtype=np.int64)
         # renumber the classes in that order and move their member runs along
         self.sizes = list(map(sizes.__getitem__, order.tolist()))
+        self.log2_sizes = log2_sizes[order]
         counts = np.diff(bounds)[order]
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
         gather = np.repeat(bounds[order] - self.bounds[:-1], counts) + np.arange(len(members))

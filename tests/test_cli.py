@@ -13,6 +13,7 @@ from tscode import container as containerfmt
 from tscode.cli import main
 from tscode.codec import Codeword
 from tscode.errors import ContainerError, SchemaError
+from tscode.rates import SourceSpec, third_order_fit
 from tscode.specfile import canonical_text, parse_exact_number, parse_spec_text
 
 BERN_SPEC = """
@@ -207,6 +208,34 @@ class TestEncodeDecodeCommands:
         self._round_trip(workdir, str(workdir / "flip.spec"), "markov",
                          rng.integers(1, 3, size=10))
 
+    def test_point_container_ignores_grid_options(self, workdir):
+        # point classes use no grid: --s and --anchor leave the bytes unchanged
+        seq = workdir / "seq.txt"
+        seq.write_text("1 3 2 2 1 3 3 1 2 1\n")
+        spec = str(workdir / "sqrt2.spec")
+        blobs = []
+        for extra in ([], ["--anchor", "1.5"], ["--s", "3", "--anchor", "0.25"]):
+            cont = workdir / f"point{len(blobs)}.tsz"
+            assert main(["encode", "--spec", spec, "--mode", "point", *extra,
+                         str(seq), str(cont)]) == 0
+            blobs.append(cont.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+        parsed = containerfmt.unpack(blobs[0])
+        assert parsed.s == 0.0 and parsed.anchor == ()
+
+    @pytest.mark.parametrize("spec_text, mode, symbols", [
+        (BERN_SPEC.replace("theta_star 1.2223924213364479", "theta_star 5"),
+         "quantized", [1, 2, 2, 1, 1, 1, 2, 1]),
+        (FLIP_SPEC.replace("theta_star 1", "theta_star -4"), "markov", [2, 2, 1, 2, 1, 1]),
+    ], ids=["quantized", "markov"])
+    def test_theta_star_outside_ball_does_not_block_the_codec(self, workdir, spec_text,
+                                                              mode, symbols):
+        # theta_star only feeds the analysis commands, which reject it
+        spec = workdir / "far.spec"
+        spec.write_text(spec_text)
+        self._round_trip(workdir, str(spec), mode, symbols)
+        assert main(["rate", "--spec", str(spec), "--mode", mode, "--n", "6"]) == 3
+
     def test_hash_mismatch_refused_no_partial_output(self, workdir):
         seq = workdir / "seq.txt"
         seq.write_text("1 2 1 2 1 2\n")
@@ -336,6 +365,25 @@ class TestRateFitCheckCommands:
                      "--n-grid", "6,8", "--epsilon", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "64" in out  # M at n=6 keeps all 2^6 paths
+
+    def test_fit_markov_mode_matches_library_fit(self, workdir, capsys):
+        ns = (8, 10, 12, 14)
+        reports = []
+        for out in (workdir / "m1", workdir / "m2"):
+            assert main(["fit", "--spec", str(workdir / "flip.spec"),
+                         "--n-grid", ",".join(map(str, ns)), "--epsilon", "0.4",
+                         "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith("mode markov  slope ")
+            reports.append((out / "fit_report.txt").read_bytes())
+            assert (out / "fit.svg").read_bytes() == (workdir / "m1" / "fit.svg").read_bytes()
+        assert reports[0] == reports[1]
+        spec = parse_spec_text(FLIP_SPEC)
+        rep = third_order_fit(SourceSpec(spec.markov, spec.theta_star), ns, 0.4, mode="markov")
+        lines = reports[0].decode().splitlines()
+        assert "mode markov" in lines and f"slope {rep.slope!r}" in lines
+        assert [line for line in lines if line.startswith("point ")] == [
+            f"point n={n} rate={rate!r} excess={y!r} residual={resid!r}"
+            for (n, rate, y), resid in zip(rep.points, rep.residuals)]
 
     def test_fit_point_mode(self, workdir, capsys):
         assert main(["fit", "--spec", str(workdir / "sqrt2.spec"),

@@ -12,15 +12,14 @@ from tscode.markov import (
     additive_variance,
     entropy_rate,
     markov_class_masses,
-    markov_eps_rate,
     markov_m_eps,
-    markov_third_order_fit,
     markov_type_index,
     stationary_dist,
     transition_matrix,
     varentropy_rate,
 )
 from tscode.quantized import Grid
+from tscode.rates import SourceSpec, m_eps, third_order_fit
 
 
 def binary_entropy(p):
@@ -269,7 +268,7 @@ class TestMarkovCodec:
         idx = markov_type_index(flip_markov, 8, Grid.create(n=8, s=1.0, d=1))
         rep = markov_m_eps(idx, np.array([1.0]), 1e-9)
         assert rep.M == 2 ** 8
-        assert markov_eps_rate(idx, np.array([1.0]), 1e-9) == 1.0
+        assert m_eps(SourceSpec(flip_markov, (1.0,)), idx, 1e-9).rate == 1.0
 
 
 class TestMarkovFit:
@@ -278,12 +277,12 @@ class TestMarkovFit:
         # ceil() quantization of log2 M needs a low-entropy model and a loose
         # epsilon before the log-n signal shows at exhaustive blocklengths.
         # Everything here is deterministic, so the band is stable.
-        rep = markov_third_order_fit(flip_markov, np.array([2.5]),
-                                     [8, 10, 12, 14, 16, 18, 20], 0.4)
+        rep = third_order_fit(SourceSpec(flip_markov, (2.5,)),
+                              [8, 10, 12, 14, 16, 18, 20], 0.4, mode="markov")
         assert -0.85 <= rep.slope <= -0.15
         assert len(rep.points) == 7
         assert max(abs(r) for r in rep.residuals) < 1.5
 
     def test_requires_three_points(self, flip_markov):
         with pytest.raises(ValueError):
-            markov_third_order_fit(flip_markov, np.array([1.0]), [8, 10], 0.1)
+            third_order_fit(SourceSpec(flip_markov, (1.0,)), [8, 10], 0.1, mode="markov")

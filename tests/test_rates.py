@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from tscode.codec import ClassOrdering
-from tscode.family import FamilySpec, evaluate
+from tscode.errors import SpecError
+from tscode.family import FamilySpec, entropy, evaluate, varentropy
+from tscode.markov import entropy_rate, markov_type_index, varentropy_rate
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import (
     SourceSpec,
+    build_index,
     class_masses,
     eps_rate,
     gaussian_Q,
@@ -18,6 +21,7 @@ from tscode.rates import (
     ml_approx_check,
     normality_check,
     overflow_prob,
+    sandwich_sweep,
     third_order_fit,
 )
 from conftest import theta_for_p1
@@ -54,6 +58,22 @@ def idx4(bernoulli):
     return build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
 
 
+class TestSourceSpec:
+    def test_rates_follow_the_family_type(self, bernoulli, flip_markov):
+        iid = SourceSpec(bernoulli, [0.4])
+        chain = SourceSpec(flip_markov, np.array([0.4]))
+        assert iid.theta_star == chain.theta_star == (0.4,)
+        assert not iid.markov and chain.markov
+        assert iid.entropy == entropy(bernoulli, [0.4])
+        assert iid.varentropy == varentropy(bernoulli, [0.4])
+        assert chain.entropy == entropy_rate(flip_markov, [0.4])
+        assert chain.varentropy == varentropy_rate(flip_markov, [0.4])
+
+    def test_theta_outside_ball_rejected(self, flip_markov):
+        with pytest.raises(SpecError, match="exceeds rho_max"):
+            SourceSpec(flip_markov, (5.0,))
+
+
 class TestOverflow:
     def test_zero_above_max(self, bern_src, idx4):
         assert overflow_prob(bern_src, idx4, 10.0) == 0.0
@@ -77,6 +97,16 @@ class TestOverflow:
             src = SourceSpec(fam, theta)
             idx = build_type_index(fam, 7, Grid.create(n=7, s=1.0, d=fam.d))
             assert math.fsum(class_masses(src, idx)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_markov_overflow_sums_masses_of_larger_classes(self, flip_markov):
+        src = SourceSpec(flip_markov, (1.0,))
+        idx = markov_type_index(flip_markov, 10, Grid.create(n=10, s=0.5, d=1))
+        masses = class_masses(src, idx)
+        assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
+        for gamma in (0.0, 0.3, 0.6, 0.9):
+            expected = math.fsum(mass for size, mass in zip(idx.sizes, masses)
+                                 if size > 2 ** (10 * gamma))
+            assert overflow_prob(src, idx, gamma) == pytest.approx(expected, abs=1e-15)
 
 
 class TestMEps:
@@ -270,8 +300,22 @@ class TestThirdOrderFit:
         # Bernoulli point classes coincide with the s=1 quantized classes
         assert [p[1] for p in rq.points] == [p[1] for p in rp.points]
 
+    def test_mode_must_exist_and_fit_the_family(self, bernoulli, flip_markov):
+        with pytest.raises(ValueError, match="unknown mode"):
+            build_index(bernoulli, "lattice", 8)
+        for fam, mode in ((bernoulli, "markov"), (flip_markov, "quantized"),
+                          (flip_markov, "point")):
+            with pytest.raises(ValueError, match=f"mode {mode} does not fit"):
+                build_index(fam, mode, 8)
+        with pytest.raises(ValueError, match="does not fit a MarkovFamilySpec"):
+            third_order_fit(SourceSpec(flip_markov, (1.0,)), [4, 5, 6], 0.1)
+
 
 class TestNormality:
+    def test_markov_source_rejected(self, flip_markov):
+        with pytest.raises(ValueError, match="memoryless sources only"):
+            normality_check(SourceSpec(flip_markov, (1.0,)), 16, 10_000, seed=1)
+
     def test_deterministic_given_seed(self, bernoulli):
         src = SourceSpec(bernoulli, theta_for_p1(0.3))
         a = normality_check(src, 64, 10_000, seed=7)
@@ -334,3 +378,17 @@ class TestSandwichHelper:
         g = Grid.create(n=16, s=1.0, d=1)
         dev = max_sandwich_deviation(bernoulli, g, build_type_index(bernoulli, 16, g))
         assert 0 < dev < 20
+
+    def test_sweep_fits_the_constant_at_the_first_blocklength(self, bernoulli):
+        s, ns = 2.0, (8, 16, 64)
+        sweep = list(sandwich_sweep(bernoulli, ns, s))
+        devs = []
+        for n in ns:
+            g = Grid.create(n=n, s=s, d=1)
+            devs.append(max_sandwich_deviation(bernoulli, g, build_type_index(bernoulli, n, g)))
+        bound = 2 * bernoulli.kappa * s
+        cstar = max(0.0, devs[0] - bound)
+        assert [(n, dev, c) for n, dev, c, _ in sweep] == [(n, dev, cstar) for n, dev in zip(ns, devs)]
+        assert [ok for *_, ok in sweep] == [dev <= bound + cstar + 1e-9 for dev in devs]
+        # rho_max 3 clamps centers, which breaks the bound at n = 64
+        assert [ok for *_, ok in sweep] == [True, True, False]

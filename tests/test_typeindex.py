@@ -40,6 +40,7 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
     assert [c.id for c in ordering.classes] == list(range(len(index.sizes)))
     pairs = list(zip(index.sizes, map(tuple, index.keys.tolist())))
     assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    assert index.log2_sizes.tolist() == [math.log2(size) for size in index.sizes]
     ranks = []
     exhaustive = [[] for _ in index.sizes]
     for xs in seqs:
