@@ -60,9 +60,12 @@ def _parse_anchor(text: str | None):
     if text is None:
         return None
     try:
-        return tuple(float(v) for v in text.split(","))
+        anchor = tuple(float(v) for v in text.split(","))
+        if all(map(math.isfinite, anchor)):
+            return anchor
     except ValueError:
-        raise SchemaError(f"anchor must be comma-separated reals, got {text!r}") from None
+        pass
+    raise SchemaError(f"anchor must be comma-separated finite reals, got {text!r}")
 
 
 def _build_config(args, need_n: bool) -> RunConfig:
@@ -230,9 +233,14 @@ def cmd_decode(args) -> int:
         raise ContainerError(f"container mode {cont.mode} does not match --mode {cfg.mode}")
     if cont.mode == "markov" and cont.x0 != cfg.spec.markov.x0:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
-    # the grid comes from the container (point classes ignore it)
+    # the grid comes from the container (point classes ignore it); the spec
+    # is valid, so a grid the index cannot be built on marks it as corrupt
     run = replace(cfg, s=cont.s, anchor=cont.anchor)
-    seq = ClassOrdering(_build_index(run, cont.n)).decode(cont.codeword)
+    try:
+        index = _build_index(run, cont.n)
+    except SpecError as exc:
+        raise ContainerError(f"container grid s={cont.s!r} anchor={cont.anchor!r}: {exc}") from None
+    seq = ClassOrdering(index).decode(cont.codeword)
     _atomic_write(Path(args.output), " ".join(str(v) for v in seq) + "\n")
     print(f"decoded {cont.n} symbols")
     return 0

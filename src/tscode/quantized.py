@@ -43,6 +43,8 @@ class Grid:
             raise SpecError(f"grid scale s must be a finite positive real, got {self.s!r}")
         if len(self.anchor) != self.d:
             raise SpecError(f"anchor has length {len(self.anchor)}, expected d={self.d}")
+        if not all(map(math.isfinite, self.anchor)):
+            raise SpecError(f"grid anchor must be finite, got {self.anchor!r}")
 
     @staticmethod
     def create(n: int, s: float, d: int, anchor=None) -> "Grid":
@@ -65,7 +67,9 @@ class Grid:
 
         Works on a single d-vector or an (N, d) batch. The index k satisfies
         tau - (anchor + k*side) in (-side/2, side/2] with ties snapped to the
-        inclusive side at relative tolerance 1e-12.
+        inclusive side at relative tolerance 1e-12. Raises SpecError when an
+        index does not fit in int64 (a cell side far below the statistic's
+        distance from the anchor).
         """
         t = np.asarray(tau, dtype=float)
         v = (t - self.anchor_array) / self.side - 0.5
@@ -73,6 +77,9 @@ class Grid:
         snap = np.abs(v - nearest) <= _TIE_RTOL * np.maximum(1.0, np.abs(v))
         k = np.ceil(v)
         k = np.where(snap, nearest, k)
+        if not np.all(np.abs(k) < 2.0 ** 63):
+            raise SpecError(f"cell index out of int64 range on the grid with side "
+                            f"{self.side!r} and anchor {self.anchor!r}")
         return k.astype(np.int64)
 
     def center_of_index(self, k) -> np.ndarray:
@@ -94,7 +101,9 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     m = spec.alphabet.size
     check_composition_budget(n, m, budget)
     comps = composition_array(n, m)
-    stats = (comps.astype(float) @ spec.tau_array) / n
+    # einsum, not @: numpy hands a float matmul to the BLAS thread pool,
+    # which made this tall (N, m) x (m, d) product up to 10x slower
+    stats = np.einsum("ij,jk->ik", comps.astype(float), spec.tau_array) / n
     return TypeIndex(spec, n, "quantized", grid.cell_index(stats),
                      multinomials_colex(n, m), comps, grid.center_of_index)
 

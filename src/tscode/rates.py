@@ -92,31 +92,33 @@ def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:
     The index numbers its classes ascending by exact size, and they can only
     be cut between distinct size values (the threshold is on the size
     itself); the report's gamma is log2 of the largest kept size divided by n.
+    Only the overflow tail is read: the compensated suffix sum runs from the
+    largest class down and stops once it passes epsilon.
     """
-    masses = class_masses(source, index)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    sizes = np.array(index.sizes, dtype=object)
-    ncls = len(sizes)
-    # compensated suffix masses: suffix[i] = mass of classes i..end
-    suffix = [0.0] * (ncls + 1)
+    masses = class_masses(source, index)
+    sizes = index.sizes
+    # "keep all" (suffix 0) is always admissible; the empty codebook never is
+    best = len(sizes)
+    # masses are >= 0 and the exact suffix only grows downward, while the
+    # compensated sum is within ~2u|S| of it, far inside the 1e-9 slack: once
+    # it passes epsilon * (1 + 1e-9), no smaller cut has suffix <= epsilon
+    stop = epsilon * (1 + 1e-9)
     acc = 0.0
     comp = 0.0
-    for i in range(ncls - 1, -1, -1):
+    for i in range(len(sizes) - 1, 0, -1):
         y = masses[i] - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-        suffix[i] = acc
-    # candidate cut points: boundaries between distinct sizes (plus "keep all");
-    # the empty codebook is never admissible for epsilon < 1
-    cuts = np.append(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1, ncls)
-    admissible = cuts[np.asarray(suffix)[cuts] <= epsilon]
-    if not len(admissible):
-        raise ValueError("no admissible threshold; epsilon too small for total mass")
-    best = int(admissible[0])
-    m_total = int(sizes[:best].sum())
+        if acc > stop:
+            break
+        if acc <= epsilon and sizes[i] != sizes[i - 1]:
+            best = i
     n = index.n
+    # every mode's classes partition all m^n sequences
+    m_total = index.alphabet_size ** n - sum(sizes[best:])
     gamma = float(index.log2_sizes[best - 1]) / n
     # the rate is ceil(log2 M) / n, with M >= 1 (every class has a member)
     return RateReport(n=n, epsilon=epsilon, gamma=gamma, M=m_total,
@@ -234,6 +236,24 @@ def third_order_fit(source: SourceSpec, n_list, epsilon: float,
                      points=tuple(points), mode=mode, epsilon=epsilon)
 
 
+def group_counts(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (N, m) count matrix whose rows each sum to n,
+    in ascending lexicographic order, and how often each occurs.
+
+    The first m-1 counts determine a row, so their mixed-radix value in base
+    n+1 (first count most significant) is a one-integer key in the same
+    order; ``group_rows`` stands in when that key could overflow int64.
+    """
+    m = counts.shape[1]
+    if (n + 1) ** (m - 1) >= 2 ** 62:
+        grouped, bounds, _ = group_rows(counts)
+        return counts[grouped[bounds[:-1]]], np.diff(bounds)
+    radix = np.array([(n + 1) ** k for k in range(m - 2, -1, -1)], dtype=np.int64)
+    _, first, weights = np.unique(counts[:, :-1] @ radix, return_index=True,
+                                  return_counts=True)
+    return counts[first], weights
+
+
 def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> float:
     """Sup deviation on z in [-3,3] (step 0.01) between the Monte Carlo tail
     of the normalized plug-in self-information and the Gaussian tail.
@@ -255,9 +275,7 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     ev = evaluate(fam, source.theta_array)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, ev.pmf, size=samples)
-    grouped, bounds, _ = group_rows(counts)
-    uniq = counts[grouped[bounds[:-1]]]
-    weights = np.diff(bounds)
+    uniq, weights = group_counts(counts, n)
     taus = (uniq.astype(float) @ fam.tau_array) / n
     theta_hat, psi_hat = mle_batch(fam, taus)
     loglik = n * (np.einsum("ij,ij->i", theta_hat, taus) - psi_hat)
@@ -266,12 +284,11 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     zs = zvals[order]
     wts = weights[order].astype(float)
     tail_from = np.concatenate([np.cumsum(wts[::-1])[::-1], [0.0]]) / samples
-    sup = 0.0
-    for zi in np.arange(-3.0, 3.0 + 1e-9, 0.01):
-        pos = int(np.searchsorted(zs, zi, side="right"))
-        emp = tail_from[pos]
-        sup = max(sup, abs(emp - gaussian_Q(zi)))
-    return sup
+    grid = np.arange(-3.0, 3.0 + 1e-9, 0.01)
+    emp = tail_from[np.searchsorted(zs, grid, side="right")]
+    gauss = np.array([gaussian_Q(z) for z in grid.tolist()])
+    # a NumPy scalar, whose repr check_report.txt has always carried
+    return np.abs(emp - gauss).max()
 
 
 def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,

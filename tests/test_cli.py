@@ -5,8 +5,12 @@ import sys
 import time
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tscode
 from tscode import container as containerfmt
@@ -37,6 +41,16 @@ basis 1 one=1 sqrt2=1.4142135623730951
 coeff 1 1 0 0
 coeff 2 1 1 0
 coeff 3 1 0 1
+"""
+
+TERN_SPEC = """
+alphabet_size 3
+d 2
+tau 0 0
+tau 1 0
+tau 0 1
+rho_max 2
+theta_star 0.6 -0.4
 """
 
 FLIP_SPEC = """
@@ -155,6 +169,7 @@ def workdir(tmp_path):
     (tmp_path / "bern.spec").write_text(BERN_SPEC)
     (tmp_path / "sqrt2.spec").write_text(SQRT2_SPEC)
     (tmp_path / "flip.spec").write_text(FLIP_SPEC)
+    (tmp_path / "tern.spec").write_text(TERN_SPEC)
     return tmp_path
 
 
@@ -298,6 +313,84 @@ class TestEncodeDecodeCommands:
         assert main(["encode", "--spec", str(workdir / "bern.spec"),
                      "--mode", "quantized", "--budget-compositions", "3",
                      str(seq), str(workdir / "x.tsz")]) == 4
+
+
+class TestGridValidation:
+    """A grid with a non-finite anchor, or so fine that a cell index leaves
+    int64, is refused: exit 2 on the command line, 3 when the cells cannot
+    be numbered, 5 when it comes from a container."""
+
+    def _encode(self, workdir, spec, symbols, *extra):
+        seq = workdir / "seq.txt"
+        seq.write_text(" ".join(map(str, symbols)) + "\n")
+        cont = workdir / "seq.tsz"
+        code = main(["encode", "--spec", str(workdir / spec), *extra, str(seq), str(cont)])
+        return code, cont
+
+    @pytest.mark.parametrize("extra, code, message", [
+        (["--anchor", "nan,0"], 2, "anchor must be comma-separated finite reals"),
+        (["--anchor", "0,-inf"], 2, "anchor must be comma-separated finite reals"),
+        (["--s", "1e-300"], 3, "cell index out of int64 range"),
+    ], ids=["nan-anchor", "inf-anchor", "tiny-s"])
+    def test_encode_refuses_a_degenerate_grid(self, workdir, capsys, extra, code, message):
+        got, cont = self._encode(workdir, "tern.spec", [1, 3, 2, 2], *extra)
+        assert got == code
+        assert message in capsys.readouterr().err
+        assert not cont.exists()
+
+    def test_rate_refuses_an_infinite_anchor(self, workdir, capsys):
+        assert main(["rate", "--spec", str(workdir / "tern.spec"), "--n", "4",
+                     "--anchor", "inf,0"]) == 2
+        captured = capsys.readouterr()
+        assert "finite reals" in captured.err and "81" not in captured.out
+
+    @pytest.mark.parametrize("spec, mode, symbols, grid", [
+        ("tern.spec", "quantized", [1, 3, 2, 2, 1], dict(anchor=(math.nan, 0.0))),
+        ("tern.spec", "quantized", [1, 3, 2, 2, 1], dict(s=1e-300)),
+        ("tern.spec", "quantized", [1, 3, 2, 2, 1], dict(anchor=(1e300, 0.0))),
+        ("tern.spec", "quantized", [1, 3, 2, 2, 1], dict(s=math.inf)),
+        ("flip.spec", "markov", [2, 2, 1, 2, 1, 1], dict(anchor=(math.nan,))),
+        ("flip.spec", "markov", [2, 2, 1, 2, 1, 1], dict(s=1e-300)),
+    ], ids=["nan-anchor", "tiny-s", "far-anchor", "inf-s", "markov-nan-anchor",
+            "markov-tiny-s"])
+    def test_decode_refuses_a_forged_grid(self, workdir, capsys, spec, mode, symbols, grid):
+        code, cont = self._encode(workdir, spec, symbols, "--mode", mode)
+        assert code == 0
+        forged = replace(containerfmt.unpack(cont.read_bytes()), **grid)
+        cont.write_bytes(containerfmt.pack(forged))
+        out = workdir / "never.txt"
+        assert main(["decode", "--spec", str(workdir / spec), "--mode", mode,
+                     str(cont), str(out)]) == 5
+        assert "container error: container grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@st.composite
+def cli_round_trip_inputs(draw):
+    spec, mode, m, nmax, extra = draw(st.sampled_from([
+        ("bern.spec", "quantized", 2, 16, ()),
+        ("tern.spec", "quantized", 3, 10, ("--s", "0.7", "--anchor", "0.1,-0.2")),
+        ("sqrt2.spec", "point", 3, 10, ()),
+        ("flip.spec", "markov", 2, 10, ("--s", "0.5")),
+    ]))
+    symbols = draw(st.lists(st.integers(1, m), min_size=1, max_size=nmax))
+    return spec, mode, extra, symbols
+
+
+class TestCliRoundTrip:
+    @given(cli_round_trip_inputs())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_decode_inverts_encode(self, workdir, capsys, inputs):
+        spec, mode, extra, symbols = inputs
+        seq = workdir / "seq.txt"
+        seq.write_text(" ".join(map(str, symbols)) + "\n")
+        cont, out = workdir / "seq.tsz", workdir / "seq.out"
+        common = ["--spec", str(workdir / spec), "--mode", mode, *extra]
+        assert main(["encode", *common, str(seq), str(cont)]) == 0
+        assert main(["decode", *common, str(cont), str(out)]) == 0
+        assert out.read_bytes() == seq.read_bytes()
+        capsys.readouterr()
 
 
 class TestRateFitCheckCommands:

@@ -31,6 +31,25 @@ class TestGrid:
         with pytest.raises(SpecError):
             Grid(n=4, s=1.0, d=2, anchor=(0.0,))
 
+    def test_non_finite_anchor_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SpecError, match="anchor must be finite"):
+                Grid.create(n=4, s=1.0, d=2, anchor=(bad, 0.0))
+
+    def test_cell_index_must_fit_int64(self):
+        g = Grid.create(n=1, s=1.0, d=1)
+        assert g.cell_index([[2.0 ** 62], [-2.0 ** 62]]).tolist() == [[2 ** 62], [-2 ** 62]]
+        for far in (2.0 ** 63, -2.0 ** 64, 1e300):
+            with pytest.raises(SpecError, match="out of int64 range"):
+                g.cell_index([[0.0], [far]])
+        # side 2.5e-301: the statistic 1 lies about 4e300 cells from the anchor
+        tiny = Grid.create(n=4, s=1e-300, d=1)
+        assert tiny.cell_index([0.0]).tolist() == [0]
+        with pytest.raises(SpecError, match="out of int64 range"):
+            tiny.cell_index([1.0])
+        with pytest.raises(SpecError, match="out of int64 range"):
+            Grid.create(n=4, s=1.0, d=1, anchor=(1e300,)).cell_index([0.5])
+
 
 class TestCuboidCenter:
     def test_anchor_maps_to_itself(self):
@@ -140,6 +159,21 @@ class TestBuildTypeIndex:
             direct = {tuple(int(v) for v in row): int(c)
                       for row, c in zip(uniq, counts)}
             assert {c.key: c.size for c in idx.classes} == direct
+
+    def test_class_keys_match_the_matmul_statistics(self, ternary, sqrt2_family):
+        # the builder's BLAS-free product gives every composition the cell
+        # that the float matmul of its counts and tau gives
+        wide = [FamilySpec.create([[0.0], [1.0]], rho_max=14.0),
+                FamilySpec.create(list(ternary.tau), rho_max=14.0)]
+        for fam, ns in [(ternary, (64, 300)), (sqrt2_family, (64, 512, 1024)),
+                        (wide[0], (8, 1024)), (wide[1], (8, 64))]:
+            for n in ns:
+                comps = composition_array(n, fam.alphabet.size)
+                for s, anchor in [(0.5, None), (1.0, None), (2.0, (0.1,) * fam.d)]:
+                    g = Grid.create(n=n, s=s, d=fam.d, anchor=anchor)
+                    idx = build_type_index(fam, n, g)
+                    ref = g.cell_index((comps.astype(float) @ fam.tau_array) / n)
+                    assert np.array_equal(idx.keys[idx.member_class], ref), (fam.tau, n, s)
 
     def test_budget_error_names_budget(self, ternary):
         with pytest.raises(BudgetError, match="budget is 10"):

@@ -1,21 +1,27 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tscode.rates
 from tscode.codec import ClassOrdering
 from tscode.errors import SpecError
 from tscode.family import FamilySpec, entropy, evaluate, varentropy
-from tscode.markov import entropy_rate, markov_type_index, varentropy_rate
+from tscode.markov import MarkovFamilySpec, entropy_rate, markov_type_index, varentropy_rate
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import (
+    RateReport,
     SourceSpec,
     build_index,
     class_masses,
     eps_rate,
     gaussian_Q,
     gaussian_Qinv,
+    group_counts,
     m_eps,
     max_sandwich_deviation,
     ml_approx_check,
@@ -24,6 +30,7 @@ from tscode.rates import (
     sandwich_sweep,
     third_order_fit,
 )
+from tscode.typeclass import group_rows
 from conftest import theta_for_p1
 
 
@@ -161,6 +168,98 @@ class TestMEps:
                         kept = sum(c.size for c in idx.classes if c.size <= t)
                         best = kept if best is None else min(best, kept)
                 assert m_eps(src, idx, float(eps)).M == best
+
+
+def kahan_suffixes(masses) -> list[float]:
+    """suffix[i] = compensated sum of masses[i:], summed from the end."""
+    suffix = [0.0] * (len(masses) + 1)
+    acc = 0.0
+    comp = 0.0
+    for i in range(len(masses) - 1, -1, -1):
+        y = masses[i] - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        suffix[i] = acc
+    return suffix
+
+
+def m_eps_whole_suffix(source, index, epsilon) -> RateReport:
+    """Reference m_eps: every class's suffix mass, then the smallest
+    distinct-size cut whose suffix is <= eps."""
+    masses = class_masses(source, index)
+    sizes = np.array(index.sizes, dtype=object)
+    suffix = kahan_suffixes(masses)
+    cuts = np.append(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1, len(sizes))
+    best = int(cuts[np.asarray(suffix)[cuts] <= epsilon][0])
+    m_total = int(sizes[:best].sum())
+    n = index.n
+    return RateReport(n=n, epsilon=epsilon, gamma=float(index.log2_sizes[best - 1]) / n,
+                      M=m_total, rate=(m_total - 1).bit_length() / n, mode=index.mode)
+
+
+_BERN = FamilySpec.create([[0.0], [1.0]], rho_max=3.0)
+_TERN = FamilySpec.create([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], rho_max=2.0)
+_FLIP = MarkovFamilySpec.create([[0.0], [1.0], [1.0], [0.0]], rho_max=3.0, x0=1)
+# (family, mode, largest n, grid scales, true models)
+_TAIL_CASES = [
+    (_BERN, "quantized", 14, (0.5, 1.0, 1.7), ((0.0,), theta_for_p1(0.3), (-2.5,))),
+    (_TERN, "quantized", 8, (0.5, 1.0, 2.0), ((0.6, -0.4), (0.0, 0.0), (1.3, 1.1))),
+    (_BERN, "point", 14, (1.0,), (theta_for_p1(0.3), (2.9,))),
+    (_TERN, "point", 8, (1.0,), ((0.6, -0.4), (-1.0, 1.2))),
+    (_FLIP, "markov", 10, (0.5, 1.0), ((1.0,), (0.0,), (-2.0,))),
+]
+
+
+@lru_cache(maxsize=None)
+def _tail_case(case: int, n: int, s: float, theta: int):
+    fam, mode, _, _, thetas = _TAIL_CASES[case]
+    source = SourceSpec(fam, thetas[theta])
+    index = build_index(fam, mode, n, s=s)
+    return source, index, kahan_suffixes(class_masses(source, index))
+
+
+@st.composite
+def tail_cut_inputs(draw):
+    case = draw(st.integers(0, len(_TAIL_CASES) - 1))
+    _, _, nmax, scales, thetas = _TAIL_CASES[case]
+    source, index, suffix = _tail_case(case, draw(st.integers(1, nmax)),
+                                       draw(st.sampled_from(scales)),
+                                       draw(st.integers(0, len(thetas) - 1)))
+    # each suffix value and its float neighbours: the knife edges of the cut
+    edge = draw(st.sampled_from(suffix))
+    eps = draw(st.sampled_from([math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)]))
+    return source, index, eps
+
+
+class TestTailCut:
+    @given(tail_cut_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_whole_suffix_reference(self, inputs):
+        source, index, eps = inputs
+        if 0.0 < eps < 1.0:
+            assert m_eps(source, index, eps) == m_eps_whole_suffix(source, index, eps)
+        else:
+            with pytest.raises(ValueError, match="epsilon must be in"):
+                m_eps(source, index, eps)
+
+    def test_every_knife_edge_of_a_tied_index(self, bernoulli):
+        # binomial sizes come in equal pairs, so half the suffix values
+        # fall between equal sizes, where no cut is allowed
+        src = SourceSpec(bernoulli, theta_for_p1(0.3))
+        idx = build_type_index(bernoulli, 9, Grid.create(n=9, s=1.0, d=1))
+        assert len(set(idx.sizes)) < len(idx.sizes)
+        for edge in kahan_suffixes(class_masses(src, idx)):
+            for eps in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)):
+                if 0.0 < eps < 1.0:
+                    assert m_eps(src, idx, eps) == m_eps_whole_suffix(src, idx, eps)
+
+    def test_epsilon_checked_before_the_masses(self, bern_src, idx4, monkeypatch):
+        def fail(*args):
+            raise AssertionError("class masses computed for an invalid epsilon")
+        monkeypatch.setattr(tscode.rates, "class_masses", fail)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            m_eps(bern_src, idx4, 1.5)
 
 
 class TestGaussian:
@@ -341,6 +440,54 @@ class TestNormality:
         src = SourceSpec(bernoulli, theta_for_p1(0.3))
         dev = normality_check(src, 256, 20_000, seed=3)
         assert 0 < dev < 0.1
+
+    def test_values_are_pinned_to_the_bit(self, bernoulli, ternary):
+        # the statistic of a fixed seed is part of the checked outputs
+        assert normality_check(SourceSpec(bernoulli, theta_for_p1(0.3)), 64, 10_000,
+                               seed=7).hex() == "0x1.38bafd514161fp-4"
+        assert normality_check(SourceSpec(ternary, (0.6, -0.4)), 256, 10_000,
+                               seed=3).hex() == "0x1.0380cc7aa5c64p-4"
+
+
+def _grouped_by_rows(counts):
+    grouped, bounds, _ = group_rows(counts)
+    return counts[grouped[bounds[:-1]]], np.diff(bounds)
+
+
+class TestGroupCounts:
+    @given(st.integers(1, 6), st.integers(0, 60), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_key_grouping_matches_group_rows(self, m, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n, rng.dirichlet(np.ones(m)), size=rows)
+        uniq, weights = group_counts(counts, n)
+        ref_uniq, ref_weights = _grouped_by_rows(counts)
+        assert np.array_equal(uniq, ref_uniq) and np.array_equal(weights, ref_weights)
+
+    @pytest.mark.parametrize("n, m, fallback", [
+        (2 ** 31 - 2, 3, False),  # (n+1)^2 = 2^62 - 2^32 + 1: the key still fits
+        (2 ** 31 - 1, 3, True),   # (n+1)^2 = 2^62
+        (1, 62, False),           # 2^61
+        (1, 63, True),            # 2^62
+    ])
+    def test_int64_boundary_picks_the_branch(self, n, m, fallback, monkeypatch):
+        calls = []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return group_rows(rows)
+        monkeypatch.setattr(tscode.rates, "group_rows", spy)
+        rows = [[0] * m for _ in range(6)]
+        for i, row in enumerate(rows):
+            row[i % m] = n                     # vertices
+        rows[4][0], rows[4][m - 1] = n - 1, 1  # neighbours of a vertex
+        rows[5][m - 1], rows[5][0] = n - 1, 1
+        counts = np.array(rows * 3 + rows[::-1], dtype=np.int64)
+        uniq, weights = group_counts(counts, n)
+        assert calls == ([len(counts)] if fallback else [])
+        ref_uniq, ref_weights = _grouped_by_rows(counts)
+        assert np.array_equal(uniq, ref_uniq) and np.array_equal(weights, ref_weights)
+        assert uniq.tolist() == sorted(map(list, set(map(tuple, rows))))
 
 
 class TestMlApprox:
