@@ -233,6 +233,9 @@ def cmd_decode(args) -> int:
         raise ContainerError(f"container mode {cont.mode} does not match --mode {cfg.mode}")
     if cont.mode == "markov" and cont.x0 != cfg.spec.markov.x0:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
+    if cont.n == 0:
+        # encode refuses an empty sequence, so no container holds one
+        raise ContainerError("container blocklength n=0; a sequence has at least one symbol")
     # the grid comes from the container (point classes ignore it); the spec
     # is valid, so a grid the index cannot be built on marks it as corrupt
     run = replace(cfg, s=cont.s, anchor=cont.anchor)

@@ -8,6 +8,12 @@ has length floor(log2(k+1)). The code is one-to-one but not prefix-free.
 Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
 system indexing); Markov classes order member paths lexicographically.
+
+A rank is enumerative (Cover 1973): the count of sequences in the members
+before a sequence's member, in the index's grouped layout, plus its rank
+inside that member. Those counts are kept exactly at every ``BLOCK``-th
+layout position only (a sampled cumulative directory, Jacobson 1989), so a
+rank or unrank adds at most ``BLOCK - 1`` member sizes to one checkpoint.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 
 from .errors import ContainerError
 from .typeclass import TypeClass
-# Ranks inside a composition live with the index; the codec re-exports them.
-from .typeclass import rank_in_composition, unrank_in_composition  # noqa: F401
+
+BLOCK = 64  # layout positions between two exact checkpoints
 
 
 @dataclass(frozen=True)
@@ -61,17 +67,20 @@ class ClassOrdering:
     """Total order on sequences: classes ascending by (exact size, key), the
     order in which the index numbers them.
 
-    ``prefix`` is the enumerative-coding table (Cover 1973): the exact count
-    of sequences before each position of the index's member layout, so a
-    sequence's rank is its member's prefix plus its rank inside the member.
+    ``marks[b]`` is the exact count of sequences before layout position
+    ``b * BLOCK`` of the index's member layout, and ``marks[-1]`` the total;
+    a sequence's rank is the checkpoint of its member's block, plus the sizes
+    of the members before it in that block, plus its rank inside the member.
     """
 
     def __init__(self, index):
         self.index = index
         self.n = index.n
         self.alphabet_size = index.alphabet_size
-        self.prefix = list(accumulate(index.grouped_sizes, initial=0))
-        self.total = self.prefix[-1]
+        sizes = index.grouped_sizes
+        blocks = np.add.reduceat(sizes, np.arange(0, len(sizes), BLOCK)).tolist()
+        self.marks = list(accumulate(blocks, initial=0))
+        self.total = self.marks[-1]
 
     @property
     def classes(self) -> tuple[TypeClass, ...]:
@@ -80,7 +89,7 @@ class ClassOrdering:
     @cached_property
     def offsets(self) -> list[int]:
         """Rank of the first sequence of each class, then the total."""
-        return list(map(self.prefix.__getitem__, self.index.bounds.tolist()))
+        return list(accumulate(self.index.sizes, initial=0))
 
     def rank(self, xs) -> int:
         """Exact rank in [0, |X|^n); a bijection onto that range."""
@@ -88,13 +97,22 @@ class ClassOrdering:
         member, within = index.member_of(xs)
         c = int(index.member_class[member])
         lo, hi = index.bounds[c], index.bounds[c + 1]
-        return self.prefix[lo + int(np.searchsorted(index.members[lo:hi], member))] + within
+        pos = int(lo + np.searchsorted(index.members[lo:hi], member))
+        start = pos - pos % BLOCK
+        return sum(index.grouped_sizes[start:pos].tolist(), self.marks[start // BLOCK] + within)
 
     def unrank(self, k: int) -> tuple[int, ...]:
         if not (0 <= k < self.total):
             raise ValueError(f"rank {k} outside [0, {self.total})")
-        pos = bisect_right(self.prefix, k) - 1
-        return self.index.sequence_of(int(self.index.members[pos]), k - self.prefix[pos])
+        block = bisect_right(self.marks, k) - 1
+        k -= self.marks[block]
+        pos = block * BLOCK
+        for size in self.index.grouped_sizes[pos:pos + BLOCK].tolist():
+            if k < size:
+                break
+            k -= size
+            pos += 1
+        return self.index.sequence_of(int(self.index.members[pos]), k)
 
     def encode(self, xs) -> Codeword:
         return string_of_index(self.rank(xs))

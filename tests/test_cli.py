@@ -291,6 +291,22 @@ class TestEncodeDecodeCommands:
         assert f"requires {needed} items" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
 
+    @pytest.mark.parametrize("spec_file, mode, header", [
+        ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1)),
+        ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None)),
+        ("sqrt2.spec", "point", dict(s=0.0, anchor=(), x0=None)),
+    ], ids=["markov", "quantized", "point"])
+    def test_forged_empty_sequence_exits_5(self, workdir, capsys, spec_file, mode, header):
+        spec = workdir / spec_file
+        cont = workdir / "forged.tsz"
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
+            n=0, codeword=Codeword(""), **header)))
+        assert main(["decode", "--spec", str(spec), "--mode", mode,
+                     str(cont), str(workdir / "never.txt")]) == 5
+        assert "container blocklength n=0" in capsys.readouterr().err
+        assert not (workdir / "never.txt").exists()
+
     def test_decode_into_directory_exits_1_without_temp_files(self, workdir, capsys):
         seq = workdir / "seq.txt"
         seq.write_text("1 2 1 1 2 2\n")

@@ -1,22 +1,19 @@
 import math
-from itertools import product
+import sys
+import tracemalloc
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscode.codec import (
-    ClassOrdering,
-    Codeword,
-    index_of_string,
-    rank_in_composition,
-    string_of_index,
-    unrank_in_composition,
-)
+from tscode.codec import BLOCK, ClassOrdering, Codeword, index_of_string, string_of_index
 from tscode.errors import ContainerError
+from tscode.markov import markov_type_index
 from tscode.pointtypes import derive_lattice, point_type_index
 from tscode.quantized import Grid, build_type_index
+from tscode.typeclass import rank_in_composition, unrank_in_composition
 
 
 class TestStringEnumeration:
@@ -193,6 +190,75 @@ class TestOrderingDeterminism:
         assert o.offsets[-1] == 3 ** 7
         for i, cls in enumerate(o.classes):
             assert o.offsets[i + 1] - o.offsets[i] == cls.size
+
+
+@pytest.fixture(scope="module")
+def checkpointed(ternary, sqrt2_family, sqrt2_statmap, flip_markov):
+    """Orderings of more than one checkpoint block in every mode, each with
+    the full cumulative member-size table of its layout as the reference."""
+    indexes = {
+        "quantized": build_type_index(ternary, 20, Grid.create(n=20, s=1.0, d=2)),
+        "point": point_type_index(sqrt2_family, derive_lattice(sqrt2_statmap), 20),
+        "markov": markov_type_index(flip_markov, 8, Grid.create(n=8, s=1.0, d=1)),
+    }
+    out = {}
+    for mode, index in indexes.items():
+        assert len(index.members) > 3 * BLOCK
+        out[mode] = ClassOrdering(index), list(accumulate(index.grouped_sizes, initial=0))
+    return out
+
+
+@st.composite
+def layout_slots(draw, ordering):
+    """A layout position (often a block's first or last) and a rank inside it."""
+    index = ordering.index
+    count = len(index.members)
+    edges = [p for p in range(count) if p % BLOCK in (0, BLOCK - 1)] + [count - 1]
+    pos = draw(st.sampled_from(edges) | st.integers(0, count - 1))
+    size = index.grouped_sizes[pos]
+    return pos, draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("mode", ["quantized", "point", "markov"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_unrank_match_the_full_table(self, checkpointed, mode, data):
+        ordering, prefix = checkpointed[mode]
+        pos, within = data.draw(layout_slots(ordering))
+        xs = ordering.index.sequence_of(int(ordering.index.members[pos]), within)
+        k = prefix[pos] + within
+        assert ordering.unrank(k) == xs
+        assert ordering.rank(xs) == k
+
+    @pytest.mark.parametrize("mode", ["quantized", "point", "markov"])
+    def test_ends_and_offsets_match_the_full_table(self, checkpointed, mode):
+        ordering, prefix = checkpointed[mode]
+        index = ordering.index
+        assert ordering.total == prefix[-1] == index.alphabet_size ** index.n
+        starts = range(0, len(index.members), BLOCK)
+        assert ordering.marks == [prefix[p] for p in starts] + [prefix[-1]]
+        assert ordering.offsets == [prefix[b] for b in index.bounds.tolist()]
+        last = len(index.members) - 1
+        for k, pos, within in ((0, 0, 0), (ordering.total - 1, last, index.grouped_sizes[last] - 1)):
+            xs = index.sequence_of(int(index.members[pos]), within)
+            assert ordering.unrank(k) == xs
+            assert ordering.rank(xs) == k
+
+    def test_no_per_member_table(self, ternary):
+        # 8,385 members; a table of one big integer per member costs about
+        # as much as the member sizes themselves
+        index = build_type_index(ternary, 128, Grid.create(n=128, s=1.0, d=2))
+        member_bytes = sum(map(sys.getsizeof, index.grouped_sizes))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ordering = ClassOrdering(index)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ordering.total == 3 ** 128
+        assert retained < member_bytes / 8
 
 
 @given(st.integers(2, 3), st.integers(1, 6), st.integers(0, 10 ** 9))
