@@ -7,7 +7,10 @@ has length floor(log2(k+1)). The code is one-to-one but not prefix-free.
 
 Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
-system indexing); Markov classes order member paths lexicographically.
+system indexing); Markov classes order member paths lexicographically. The
+rank inside a composition is summed by binary splitting from
+``typeclass.SPLIT_MIN_N`` symbols on, and an unrank hands the member's exact
+size, read from the layout, to the one-pass ``unrank_in_composition``.
 
 A rank is enumerative (Cover 1973): the count of sequences in the members
 before a sequence's member, in the index's grouped layout, plus its rank
@@ -18,6 +21,7 @@ rank or unrank adds at most ``BLOCK - 1`` member sizes to one checkpoint.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,6 +106,7 @@ class ClassOrdering:
         return sum(index.grouped_sizes[start:pos].tolist(), self.marks[start // BLOCK] + within)
 
     def unrank(self, k: int) -> tuple[int, ...]:
+        k = operator.index(k)
         if not (0 <= k < self.total):
             raise ValueError(f"rank {k} outside [0, {self.total})")
         block = bisect_right(self.marks, k) - 1
@@ -112,7 +117,7 @@ class ClassOrdering:
                 break
             k -= size
             pos += 1
-        return self.index.sequence_of(int(self.index.members[pos]), k)
+        return self.index.sequence_of(int(self.index.members[pos]), k, size)
 
     def encode(self, xs) -> Codeword:
         return string_of_index(self.rank(xs))

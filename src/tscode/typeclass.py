@@ -10,11 +10,20 @@ Compositions are enumerated in colexicographic order of the count vector
 (last coordinate most significant); a composition's member id is its row in
 that enumeration, and a Markov path's member id is its packed base-m value.
 Both orders are part of the codec contract.
+
+Inside a composition, sequences are ranked lexicographically (enumerative
+coding, Cover 1973). Below ``SPLIT_MIN_N`` symbols the rank takes one
+big-integer step per symbol; from there on it is summed by binary splitting
+(Haible & Papanikolaou 1998), int64 runs first and Python ints after, which
+gives the same integer with far fewer big-integer operations. The crossover
+was measured against the per-symbol loop at alphabet sizes 2 to 4. The unrank
+walks the symbols once, with one multiply and one divide per candidate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -23,6 +32,8 @@ import numpy as np
 from .errors import BudgetError
 
 DEFAULT_COMPOSITION_BUDGET = 5_000_000
+SPLIT_MIN_N = 192  # rank_in_composition splits from this many symbols on
+SPLIT_RUNS = 16  # runs left for the exact fold that ends a split rank
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -103,8 +114,24 @@ def multinomials_colex(n: int, m: int) -> list[int]:
     return out
 
 
-def rank_in_composition(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
-    """Lexicographic index of a sequence among permutations of its multiset."""
+def rank_in_composition(counts: Sequence[int], sym_idx) -> int:
+    """Lexicographic index of a sequence (0-based symbols, a list or 1-D
+    integer array) among the permutations of its multiset ``counts``.
+
+    Short sequences take the per-symbol loop; from ``SPLIT_MIN_N`` symbols on
+    the rank is summed by binary splitting, which gives the same integer.
+    """
+    seq = np.asarray(sym_idx, dtype=np.int64)
+    if seq.ndim != 1 or np.bincount(seq, minlength=len(counts)).tolist() != list(counts):
+        raise ValueError(f"counts {list(counts)} do not match the sequence")
+    if len(seq) < SPLIT_MIN_N:
+        return rank_per_symbol(counts, seq.tolist())
+    return rank_binary_split(counts, seq)
+
+
+def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
+    """``rank_in_composition`` by one big-integer step per symbol; the counts
+    must match the sequence."""
     rem_counts = list(counts)
     remaining = sum(rem_counts)
     size = multinomial(rem_counts)
@@ -119,25 +146,83 @@ def rank_in_composition(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
     return rank
 
 
-def unrank_in_composition(counts: Sequence[int], k: int) -> list[int]:
+def rank_binary_split(counts: Sequence[int], x: np.ndarray) -> int:
+    """``rank_in_composition`` by binary splitting (Haible & Papanikolaou
+    1998); the counts must match the int64 sequence ``x``.
+
+    At position i, q_i = n - i symbols remain, S_i of them below x_i and p_i
+    equal to x_i; with size_i the multinomial of the remaining counts, the
+    rank is the sum of size_i * S_i / q_i and size_{i+1} = size_i * p_i / q_i.
+    A run of positions is (T, P, Q): P and Q are the products of its p and
+    q, and T / Q is its part of the sum over the size at its start, so two
+    adjacent runs join as (T_l Q_r + P_l T_r, P_l P_r, Q_l Q_r). Since
+    S_i + p_i <= q_i <= n, T <= Q < 2^(len * n.bit_length()), so runs of up
+    to ``63 // n.bit_length()`` positions (a power of two) are built in int64
+    and longer ones as Python ints, until at most ``SPLIT_RUNS`` runs are
+    left. An exact fold
+    over those (rank += size T / Q, size = size P / Q) keeps the big
+    integers at the width of the rank.
+    """
+    n = len(x)
+    m = len(counts)
+    c = np.asarray(counts, dtype=np.int64)
+    # below_or_at[i, v]: positions j <= i with x_j < v, for v = 0..m
+    below_or_at = np.cumsum(x[:, None] < np.arange(m + 1), axis=0).ravel()
+    at = np.arange(0, n * (m + 1), m + 1) + x
+    earlier_below = below_or_at[at]
+    # levels of pair joins in int64, then as Python ints
+    int_levels = (63 // max(n, 2).bit_length()).bit_length() - 1
+    object_levels = (-(-n // (SPLIT_RUNS << int_levels)) - 1).bit_length()
+    width = 1 << (int_levels + object_levels)
+    # padding positions (S, p, q) = (0, 1, 1) leave every run as it is
+    S = np.zeros(-(-n // width) * width, dtype=np.int64)
+    p = np.ones_like(S)
+    q = np.ones_like(S)
+    S[:n] = (np.cumsum(c) - c)[x] - earlier_below
+    p[:n] = c[x] + 1 + earlier_below - below_or_at[at + 1]
+    q[:n] = np.arange(n, 0, -1)
+    runs = S, p, q
+    for _ in range(int_levels):
+        runs = _join_pairs(*runs)
+    runs = [a.astype(object) for a in runs]
+    for _ in range(object_levels):
+        runs = _join_pairs(*runs)
+    size = multinomial(counts)
+    rank = 0
+    for t, pp, qq in zip(*(a.tolist() for a in runs)):
+        rank += size * t // qq
+        size = size * pp // qq
+    return rank
+
+
+def _join_pairs(T: np.ndarray, P: np.ndarray, Q: np.ndarray):
+    """Runs 2j and 2j + 1 of a binary-splitting level joined into run j."""
+    return T[0::2] * Q[1::2] + P[0::2] * T[1::2], P[0::2] * P[1::2], Q[0::2] * Q[1::2]
+
+
+def unrank_in_composition(counts: Sequence[int], k: int, size: int | None = None) -> list[int]:
+    """The sequence at rank ``k`` among the permutations of ``counts``;
+    ``size`` is their number, the multinomial of the counts, when the caller
+    already holds it."""
+    k = operator.index(k)
     rem_counts = list(counts)
-    remaining = sum(rem_counts)
-    size = multinomial(rem_counts)
+    if size is None:
+        size = multinomial(rem_counts)
+    if not 0 <= k < size:
+        raise ValueError(f"rank {k} outside [0, {size})")
     out = []
-    for _ in range(remaining):
-        total = sum(rem_counts)
-        for y, c in enumerate(rem_counts):
-            if not c:
-                continue
-            block = size * c // total
-            if k < block:
-                out.append(y)
-                size = block
-                rem_counts[y] -= 1
-                break
-            k -= block
-        else:
-            raise ValueError("index exceeds composition size")
+    for remaining in range(sum(rem_counts), 0, -1):
+        y = 0
+        for c in rem_counts:
+            if c:
+                block = size * c // remaining
+                if k < block:
+                    break
+                k -= block
+            y += 1
+        out.append(y)
+        rem_counts[y] -= 1
+        size = block
     return out
 
 
@@ -294,14 +379,15 @@ class TypeIndex:
         if self.mode == "markov":
             return pack_path(self.alphabet_size, idx.tolist()), 0
         counts = np.bincount(idx, minlength=self.alphabet_size).tolist()
-        return colex_rank(counts), rank_in_composition(counts, idx.tolist())
+        return colex_rank(counts), rank_in_composition(counts, idx)
 
-    def sequence_of(self, member: int, within: int) -> tuple[int, ...]:
-        """Inverse of member_of: the 1-based sequence at rank ``within``."""
+    def sequence_of(self, member: int, within: int, size: int | None = None) -> tuple[int, ...]:
+        """Inverse of member_of: the 1-based sequence at rank ``within``;
+        ``size`` is the member's exact sequence count, when the caller holds it."""
         if self.mode == "markov":
             digits = unpack_path(self.alphabet_size, member, self.n)
         else:
-            digits = unrank_in_composition(self.member_stats[member].tolist(), within)
+            digits = unrank_in_composition(self.member_stats[member].tolist(), within, size)
         return tuple(y + 1 for y in digits)
 
     def class_of_sequence(self, xs) -> TypeClass:

@@ -8,12 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tscode import typeclass
 from tscode.codec import BLOCK, ClassOrdering, Codeword, index_of_string, string_of_index
 from tscode.errors import ContainerError
 from tscode.markov import markov_type_index
 from tscode.pointtypes import derive_lattice, point_type_index
 from tscode.quantized import Grid, build_type_index
-from tscode.typeclass import rank_in_composition, unrank_in_composition
+from tscode.typeclass import (
+    SPLIT_MIN_N,
+    multinomial,
+    rank_binary_split,
+    rank_in_composition,
+    rank_per_symbol,
+    unrank_in_composition,
+)
 
 
 class TestStringEnumeration:
@@ -63,6 +71,50 @@ class TestCompositionRanking:
         ranks = [rank_in_composition(counts, s) for s in valid]
         assert ranks == list(range(6))
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_binary_split_equals_per_symbol(self, data):
+        m = data.draw(st.integers(2, 6))
+        n = data.draw(st.sampled_from([1, 2, SPLIT_MIN_N - 1, SPLIT_MIN_N, 2048, 2500])
+                      | st.integers(1, 2500))
+        # a zero weight leaves a zero count
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)
+                            .filter(any))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        seq = rng.choice(m, size=n, p=np.array(weights) / sum(weights))
+        counts = np.bincount(seq, minlength=m).tolist()
+        order = data.draw(st.sampled_from(["first", "last", "drawn"]))
+        if order != "drawn":
+            seq = np.sort(seq) if order == "first" else np.sort(seq)[::-1]
+        r = rank_per_symbol(counts, seq.tolist())
+        assert rank_binary_split(counts, seq) == r
+        assert rank_in_composition(counts, seq) == r
+        if order != "drawn":
+            assert r == (0 if order == "first" else multinomial(counts) - 1)
+        assert unrank_in_composition(counts, r) == seq.tolist()
+
+    def test_rank_rejects_counts_that_do_not_match(self):
+        with pytest.raises(ValueError):
+            rank_in_composition([1, 1], [0, 0])
+        seq = [0, 1, 2] * SPLIT_MIN_N
+        counts = [SPLIT_MIN_N] * 3
+        assert rank_in_composition(counts, seq) == rank_per_symbol(counts, seq)
+        with pytest.raises(ValueError):
+            rank_in_composition([SPLIT_MIN_N + 1, SPLIT_MIN_N - 1, SPLIT_MIN_N], seq)
+
+    def test_unrank_rejects_a_negative_rank(self):
+        with pytest.raises(ValueError):
+            unrank_in_composition([2, 1], -5)
+
+    def test_unrank_rejects_a_rank_that_is_not_an_int(self):
+        with pytest.raises(TypeError):
+            unrank_in_composition([2, 1], 1.5)
+
+    def test_unrank_takes_the_member_size(self):
+        assert unrank_in_composition([2, 1], 2, size=3) == [1, 0, 0]
+        with pytest.raises(ValueError):
+            unrank_in_composition([2, 1], 3, size=3)
+
 
 def _ordering(fam, n, s=1.0):
     return ClassOrdering(build_type_index(fam, n, Grid.create(n=n, s=s, d=fam.d)))
@@ -77,14 +129,18 @@ class TestRankUnrank:
         o = _ordering(bernoulli, 4)
         assert {o.rank((1, 1, 1, 1)), o.rank((2, 2, 2, 2))} == {0, 1}
 
-    def test_bijection_exhaustive(self, bernoulli, ternary):
-        for fam, m, nmax in [(bernoulli, 2, 10), (ternary, 3, 6)]:
-            for n in range(1, nmax + 1):
-                o = _ordering(fam, n)
-                seen = set()
-                for xs in product(range(1, m + 1), repeat=n):
-                    seen.add(o.rank(xs))
-                assert seen == set(range(m ** n))
+    def test_bijection_exhaustive(self, bernoulli, ternary, monkeypatch):
+        for split_min_n in (SPLIT_MIN_N, 1):  # 1 forces binary splitting at every n
+            monkeypatch.setattr(typeclass, "SPLIT_MIN_N", split_min_n)
+            for fam, m, nmax in [(bernoulli, 2, 10), (ternary, 3, 6)]:
+                for n in range(1, nmax + 1):
+                    o = _ordering(fam, n)
+                    seen = set()
+                    for xs in product(range(1, m + 1), repeat=n):
+                        r = o.rank(xs)
+                        assert o.unrank(r) == xs
+                        seen.add(r)
+                    assert seen == set(range(m ** n))
 
     def test_unrank_inverts_rank_random(self, ternary):
         o = _ordering(ternary, 8)
@@ -105,6 +161,11 @@ class TestRankUnrank:
             o.unrank(16)
         with pytest.raises(ValueError):
             o.unrank(-1)
+
+    def test_unrank_rejects_a_rank_that_is_not_an_int(self, bernoulli):
+        o = _ordering(bernoulli, 4)
+        with pytest.raises(TypeError):
+            o.unrank(2.5)
 
 
 class TestEncodeDecode:
