@@ -73,8 +73,6 @@ def _build_config(args, need_n: bool) -> RunConfig:
     spec = None
     try:
         spec = parse_spec_file(args.spec)
-    except FileNotFoundError as exc:
-        raise exc
     except (SchemaError, SpecError) as exc:
         problems.append(str(exc))
     mode = args.mode
@@ -88,8 +86,6 @@ def _build_config(args, need_n: bool) -> RunConfig:
             problems.append(f"mode {mode} cannot use a markov spec file")
         if mode == "point" and spec.kind == "family":
             problems.append("mode point requires basis/coeff rows in the spec file")
-    if mode not in (None, "quantized", "point", "markov"):
-        problems.append(f"unknown mode {mode!r}")
     if args.s <= 0 or not math.isfinite(args.s):
         problems.append(f"grid scale s must be positive, got {args.s}")
     anchor = None

@@ -155,82 +155,67 @@ class LatticePoint:
     n: int
 
 
-def _rational_rank_selection(rows: list[list[Fraction]]) -> tuple[int, ...]:
-    """Indices of a maximal independent row set, by exact Gaussian elimination."""
-    selected: list[int] = []
-    basis: list[list[Fraction]] = []
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for i, row in enumerate(rows):
-        work = list(row)
-        for b, piv in zip(basis, pivots):
-            factor = work[piv] / b[piv]
-            if factor:
-                for c in range(ncols):
-                    work[c] -= factor * b[c]
-        piv_col = next((c for c in range(ncols) if work[c] != 0), None)
-        if piv_col is not None:
-            selected.append(i)
-            basis.append(work)
-            pivots.append(piv_col)
-    return tuple(selected)
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int | None]:
+    """Exact Gauss-Jordan elimination, in place, one row at a time in order.
 
-
-def _solve_exact(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a small nonsingular rational system by Gaussian elimination."""
-    k = len(gram)
-    aug = [list(gram[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SpecError("degenerate lattice system (rank drop in reconstruction)")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col] / aug[col][col]
-                for c in range(col, k + 1):
-                    aug[r][c] -= f * aug[col][c]
-    return [aug[i][k] / aug[i][i] for i in range(k)]
+    A row is reduced on its first ``ncols`` columns against the pivot rows
+    before it; if anything is left it is scaled to a unit pivot at its first
+    nonzero column, which is then cleared from the earlier pivot rows.
+    Returns each row's pivot column, or None where the row reduced to zero
+    (it depends on the rows before it). Columns past ``ncols`` ride along:
+    they end up holding the solution in the pivot rows and the residual in
+    the zero rows.
+    """
+    pivots: list[int | None] = []
+    done: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for col, prow in done:
+            f = row[col]
+            if f:
+                row[:] = [v - f * w for v, w in zip(row, prow)]
+        col = next((c for c in range(ncols) if row[c]), None)
+        pivots.append(col)
+        if col is None:
+            continue
+        row[:] = [v / row[col] for v in row]
+        for _, prow in done:
+            f = prow[col]
+            if f:
+                prow[:] = [v - f * w for v, w in zip(prow, row)]
+        done.append((col, row))
+    return pivots
 
 
 def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
-    """Clear denominators per row, select independent rows exactly, reduce."""
+    """Keep the independent coefficient rows, clear their denominators, and
+    solve exactly for the reconstruction, all by one elimination routine."""
     spec = stat_map.spec
     m, d = spec.alphabet.size, spec.d
     # flattened (coordinate, basis-element) rows over symbols
-    cleared_rows: list[list[int]] = []
-    for j in range(d):
-        for t in range(len(stat_map.basis_names[j])):
-            col = [stat_map.coeffs[x][j][t] for x in range(m)]
-            denom_lcm = 1
-            for v in col:
-                denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-            cleared_rows.append([int(v * denom_lcm) for v in col])
+    rows = [[stat_map.coeffs[x][j][t] for x in range(m)]
+            for j in range(d) for t in range(len(stat_map.basis_names[j]))]
     # independence over symbols 2..m (the symbol-1 column is zero)
-    frac_rows = [[Fraction(v) for v in row[1:]] for row in cleared_rows]
-    selection = _rational_rank_selection(frac_rows)
+    pivots = _gauss_jordan([[Fraction(v) for v in row[1:]] for row in rows], m - 1)
+    selection = tuple(i for i, p in enumerate(pivots) if p is not None)
     d_prime = len(selection)
     if d_prime == 0:
         raise SpecError("lattice map is trivial: all statistic rows coincide")
-    L = tuple(
-        tuple(cleared_rows[r][x] for r in selection) for x in range(m)
-    )
-    # exact affine reconstruction M with M @ L(x) = tau(x) - tau(1)
-    lmat = [[Fraction(L[x][i]) for x in range(1, m)] for i in range(d_prime)]
-    gram = [
-        [sum(lmat[a][c] * lmat[b][c] for c in range(m - 1)) for b in range(d_prime)]
-        for a in range(d_prime)
-    ]
-    recon_rows = []
-    worst = 0.0
-    for j in range(d):
-        targets = [Fraction(spec.tau[x][j]) - Fraction(spec.tau[0][j]) for x in range(1, m)]
-        rhs = [sum(lmat[a][c] * targets[c] for c in range(m - 1)) for a in range(d_prime)]
-        sol = _solve_exact(gram, rhs)
-        recon_rows.append(tuple(sol))
-        for c in range(m - 1):
-            resid = float(sum(sol[a] * lmat[a][c] for a in range(d_prime)) - targets[c])
-            worst = max(worst, abs(resid))
+    cleared = []
+    for r in selection:
+        scale = math.lcm(*(v.denominator for v in rows[r]))
+        cleared.append([int(v * scale) for v in rows[r]])
+    L = tuple(tuple(row[x] for row in cleared) for x in range(m))
+    # exact affine reconstruction M with M @ L(x) = tau(x) - tau(1): one
+    # equation per symbol 2..m, all d coordinates as right-hand sides; L has
+    # full row rank, so every column gets a pivot and M is unique
+    eqs = [[Fraction(v) for v in L[x]]
+           + [Fraction(spec.tau[x][j]) - Fraction(spec.tau[0][j]) for j in range(d)]
+           for x in range(1, m)]
+    pivots = _gauss_jordan(eqs, d_prime)
+    solved = {p: row for p, row in zip(pivots, eqs) if p is not None}
+    recon = tuple(tuple(solved[a][d_prime + j] for a in range(d_prime)) for j in range(d))
+    worst = max((abs(float(v)) for p, row in zip(pivots, eqs) if p is None
+                 for v in row[d_prime:]), default=0.0)
     if worst > 1e-9:
         raise SpecError(
             f"declared decomposition is inconsistent with the statistic table "
@@ -240,7 +225,7 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
         d_prime=d_prime,
         L=L,
         row_selection=selection,
-        recon=tuple(recon_rows),
+        recon=recon,
         tau1=tuple(float(v) for v in spec.tau[0]),
     )
 
@@ -269,8 +254,7 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
 def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:
     """Per-symbol point-class size rate at the lattice point ell:
     -(<theta_hat, tau(ell)> - psi(theta_hat)) - (d'/2n) log2(2 pi n) + c/n."""
-    tau = lmap.tau_of_point([Fraction(v) if not isinstance(v, Fraction) else v
-                             for v in np.atleast_1d(ell)])
+    tau = lmap.tau_of_point(np.atleast_1d(ell))
     theta = mle(spec, tau)
     ev = evaluate(spec, theta)
     base = ev.psi - float(np.dot(theta, tau))

@@ -113,7 +113,13 @@ def type_size_of_sequence(index: TypeIndex, xs) -> int:
     return index.class_of_sequence(xs).size
 
 
-def r_of(spec: FamilySpec, grid: Grid, xs, hull_slack: float | None = None) -> float:
+def _cell_mle(spec: FamilySpec, grid: Grid, tau) -> np.ndarray:
+    """Likelihood maximizer at a point that may leave the convex hull of the
+    statistic rows by up to half a cell diagonal (a cuboid center)."""
+    return mle(spec, tau, hull_slack=grid.side * math.sqrt(spec.d) / 2 + 1e-9)
+
+
+def r_of(spec: FamilySpec, grid: Grid, xs) -> float:
     """Common part of the class-size sandwich at the sequence's cuboid center:
     -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s, with theta_c the
     likelihood maximizer at the center."""
@@ -121,25 +127,19 @@ def r_of(spec: FamilySpec, grid: Grid, xs, hull_slack: float | None = None) -> f
     n = len(spec.alphabet.indices(xs))
     if grid.n != n:
         raise SpecError(f"grid built for n={grid.n}, sequence has n={n}")
-    center = cuboid_center_of(grid, stat)
-    if hull_slack is None:
-        hull_slack = grid.side * math.sqrt(spec.d) / 2 + 1e-9
-    theta_c = mle(spec, center, hull_slack=hull_slack)
+    theta_c = _cell_mle(spec, grid, cuboid_center_of(grid, stat))
     ev = evaluate(spec, theta_c)
     log_p = n * (float(np.dot(theta_c, stat)) - ev.psi)
     return -log_p - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
 
 
-def f_of(spec: FamilySpec, grid: Grid, tau, c: float = 0.0,
-         hull_slack: float | None = None) -> float:
+def f_of(spec: FamilySpec, grid: Grid, tau, c: float = 0.0) -> float:
     """Per-symbol upper-bound rate function for class sizes:
     -<theta_hat, tau> + psi(theta_hat) - (d/2n) log2 n + (d log2 s)/n
     + 3*kappa*s/n + c/n."""
     t = np.asarray(tau, dtype=float)
     n = grid.n
-    if hull_slack is None:
-        hull_slack = grid.side * math.sqrt(spec.d) / 2 + 1e-9
-    theta = mle(spec, t, hull_slack=hull_slack)
+    theta = _cell_mle(spec, grid, t)
     ev = evaluate(spec, theta)
     base = ev.psi - float(np.dot(theta, t))
     return (base

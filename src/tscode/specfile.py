@@ -80,7 +80,6 @@ class ParsedSpec:
     stat_map: ExactStatMap | None
     markov: MarkovFamilySpec | None
     theta_star: tuple[float, ...]
-    text: str
 
     @property
     def spec_hash(self) -> bytes:
@@ -154,7 +153,7 @@ def parse_spec_text(text: str) -> ParsedSpec:
     if is_markov:
         markov = MarkovFamilySpec.create(rows, rho, single_int("x0"))
         return ParsedSpec(kind="markov", family=None, stat_map=None,
-                          markov=markov, theta_star=theta, text=text)
+                          markov=markov, theta_star=theta)
 
     family = FamilySpec.create(rows, rho)
 
@@ -163,7 +162,7 @@ def parse_spec_text(text: str) -> ParsedSpec:
         stat_map = _parse_stat_map(family, fields)
     kind = "point" if stat_map is not None else "family"
     return ParsedSpec(kind=kind, family=family, stat_map=stat_map,
-                      markov=None, theta_star=theta, text=text)
+                      markov=None, theta_star=theta)
 
 
 def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:

@@ -17,7 +17,7 @@ from tscode import container as containerfmt
 from tscode.cli import main
 from tscode.codec import Codeword
 from tscode.errors import ContainerError, SchemaError
-from tscode.rates import SourceSpec, third_order_fit
+from tscode.rates import SourceSpec, build_index, m_eps, third_order_fit
 from tscode.specfile import canonical_text, parse_exact_number, parse_spec_text
 
 BERN_SPEC = """
@@ -191,6 +191,10 @@ class TestValidateCommand:
         bad = workdir / "badrow.spec"
         bad.write_text("alphabet_size 2\nd 1\ntau2 0\ntau2 1\ntau2 0.5\ntau2 0\nrho_max 2\nx0 1\n")
         assert main(["validate", "--spec", str(bad)]) == 3
+
+    def test_markov_spec_reports_its_chain(self, workdir, capsys):
+        assert main(["validate", "--spec", str(workdir / "flip.spec")]) == 0
+        assert "alphabet 2 d 1 x0 1" in capsys.readouterr().out.splitlines()
 
     def test_unreadable_exit_1(self, workdir):
         assert main(["validate", "--spec", str(workdir / "missing.spec")]) == 1
@@ -419,6 +423,18 @@ class TestRateFitCheckCommands:
         out = capsys.readouterr().out
         assert " 10" in out and "1.000000" in out
 
+    def test_rate_report_lists_one_result_per_blocklength(self, workdir, capsys):
+        outdir = workdir / "rate"
+        assert main(["rate", "--spec", str(workdir / "bern.spec"), "--n-grid", "4,8",
+                     "--epsilon", "0.4", "--out", str(outdir)]) == 0
+        capsys.readouterr()
+        spec = parse_spec_text(BERN_SPEC)
+        src = SourceSpec(spec.family, spec.theta_star)
+        reps = [m_eps(src, build_index(spec.family, "quantized", n), 0.4) for n in (4, 8)]
+        assert (outdir / "rate_report.txt").read_text().splitlines() == [
+            "tscode-report 1", "command rate", "mode quantized", "epsilon 0.4",
+            *(f"result n={r.n} gamma={r.gamma!r} M={r.M} rate={r.rate!r}" for r in reps)]
+
     def test_fit_band_and_outputs(self, workdir, capsys):
         outdir = workdir / "fit"
         assert main(["fit", "--spec", str(workdir / "bern.spec"),
@@ -459,6 +475,20 @@ class TestRateFitCheckCommands:
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.out and "invariant error" in captured.err
         assert "n=64" in (outdir / "check_report.txt").read_text()
+
+    def test_check_refuses_a_markov_spec(self, workdir, capsys):
+        assert main(["check", "--spec", str(workdir / "flip.spec"), "--n-grid", "4,8"]) == 3
+        assert "memoryless families only" in capsys.readouterr().err
+
+    def test_check_skips_normality_at_zero_theta_star(self, workdir, capsys):
+        spec = workdir / "uniform.spec"
+        spec.write_text("alphabet_size 2\nd 1\ntau 0\ntau 1\nrho_max 3\n")
+        outdir = workdir / "chk0"
+        assert main(["check", "--spec", str(spec), "--n-grid", "8,16", "--s", "2",
+                     "--out", str(outdir)]) == 0
+        assert "normality check skipped" in capsys.readouterr().out
+        assert "normality skipped theta_star=0" in \
+            (outdir / "check_report.txt").read_text().splitlines()
 
     def test_runtime_error_exit_3(self, workdir, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -502,10 +532,11 @@ class TestRateFitCheckCommands:
 
     def test_config_problems_reported_together(self, workdir, capsys):
         code = main(["rate", "--spec", str(workdir / "bern.spec"),
-                     "--epsilon", "1.5", "--s", "-1"])
+                     "--epsilon", "1.5", "--s", "-1", "--anchor", "abc"])
         assert code == 2
         err = capsys.readouterr().err
         assert "epsilon" in err and "s must be positive" in err and "blocklength" in err
+        assert "anchor must be comma-separated finite reals, got 'abc'" in err
 
 
 def test_cli_import_does_not_load_scipy():

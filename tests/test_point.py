@@ -29,6 +29,8 @@ class TestDeriveLattice:
         lmap = derive_lattice(sqrt2_statmap)
         assert lmap.d_prime == 2
         assert lmap.L == ((0, 0), (1, 0), (0, 1))
+        assert lmap.row_selection == (0, 1)
+        assert lmap.recon == ((Fraction(1), Fraction(SQRT2)),)
 
     def test_full_ternary_rational(self, ternary):
         lmap = derive_lattice(ExactStatMap.from_rational_tau(ternary))
@@ -39,6 +41,16 @@ class TestDeriveLattice:
         lmap = derive_lattice(ExactStatMap.from_rational_tau(fam))
         assert lmap.d_prime == 1
         assert lmap.L == ((0,), (2,), (3,))
+
+    def test_coupled_rational_table_reconstructs_exactly(self):
+        # pivots other than 1 and columns that couple: every step of the
+        # elimination must run to recover tau from L
+        tau = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.75], [1.0, 1.0]]
+        lmap = derive_lattice(ExactStatMap.from_rational_tau(FamilySpec.create(tau, rho_max=2.0)))
+        assert lmap.L == ((0, 0), (1, 4), (2, 3), (2, 4))
+        assert lmap.recon == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
+        for x, expect in enumerate(tau):
+            assert lmap.tau_of_point(lmap.L[x]).tolist() == expect
 
     def test_dependent_rows_reduce_dimension(self):
         # tau = (0, 1+sqrt2, 2+2sqrt2): both basis rows are proportional
@@ -62,6 +74,35 @@ class TestDeriveLattice:
         for x, expect in enumerate([0.0, 1.0, SQRT2]):
             tau = lmap.tau_of_point(np.asarray(lmap.L[x], dtype=float))
             assert tau[0] == pytest.approx(expect, abs=1e-12)
+
+    def test_more_symbols_than_lattice_dimensions(self):
+        # tau = (0, 1, sqrt2, 1+sqrt2): four symbols on a two-dimensional
+        # lattice, consistent only up to the rounding of 1 + sqrt2
+        taus = [0.0, 1.0, SQRT2, 1 + SQRT2]
+        fam = FamilySpec.create([[t] for t in taus], rho_max=3.0)
+        lmap = derive_lattice(ExactStatMap(
+            spec=fam,
+            basis_names=(("1", "sqrt2"),),
+            basis_hints=((1.0, SQRT2),),
+            coeffs=(((Fraction(0), Fraction(0)),),
+                    ((Fraction(1), Fraction(0)),),
+                    ((Fraction(0), Fraction(1)),),
+                    ((Fraction(1), Fraction(1)),)),
+        ))
+        assert lmap.d_prime == 2
+        assert lmap.L == ((0, 0), (1, 0), (0, 1), (1, 1))
+        for x, expect in enumerate(taus):
+            assert lmap.tau_of_point(lmap.L[x])[0] == pytest.approx(expect, abs=1e-12)
+
+    def test_all_zero_coefficients_rejected_as_trivial(self, sqrt2_family):
+        zero = (Fraction(0), Fraction(0))
+        with pytest.raises(SpecError, match="lattice map is trivial"):
+            derive_lattice(ExactStatMap(
+                spec=sqrt2_family,
+                basis_names=(("1", "sqrt2"),),
+                basis_hints=((1.0, SQRT2),),
+                coeffs=((zero,), (zero,), (zero,)),
+            ))
 
     def test_repeated_basis_name_rejected(self, sqrt2_family):
         with pytest.raises(SpecError, match="dependent basis"):
