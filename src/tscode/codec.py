@@ -9,8 +9,9 @@ Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
 system indexing); Markov classes order member paths lexicographically. The
 rank inside a composition is summed by binary splitting from
-``typeclass.SPLIT_MIN_N`` symbols on, and an unrank hands the member's exact
-size, read from the layout, to the one-pass ``unrank_in_composition``.
+``typeclass.SPLIT_MIN_N`` symbols on. A rank and an unrank both read the
+member's exact size from the layout and hand it to ``rank_in_composition``
+or to the one-pass ``unrank_in_composition``.
 
 A rank is enumerative (Cover 1973): the count of sequences in the members
 before a sequence's member, in the index's grouped layout, plus its rank
@@ -97,13 +98,9 @@ class ClassOrdering:
 
     def rank(self, xs) -> int:
         """Exact rank in [0, |X|^n); a bijection onto that range."""
-        index = self.index
-        member, within = index.member_of(xs)
-        c = int(index.member_class[member])
-        lo, hi = index.bounds[c], index.bounds[c + 1]
-        pos = int(lo + np.searchsorted(index.members[lo:hi], member))
+        pos, within = self.index.locate(xs)
         start = pos - pos % BLOCK
-        return sum(index.grouped_sizes[start:pos].tolist(), self.marks[start // BLOCK] + within)
+        return sum(self.index.grouped_sizes[start:pos].tolist(), self.marks[start // BLOCK] + within)
 
     def unrank(self, k: int) -> tuple[int, ...]:
         k = operator.index(k)

@@ -173,17 +173,17 @@ def varentropy_rate(mspec: MarkovFamilySpec, theta) -> float:
 
 
 def _all_path_stats(mspec: MarkovFamilySpec, n: int) -> np.ndarray:
-    """Pair-statistic sums for every path, ordered by packed path id."""
+    """Pair-statistic sums for every path, ordered by packed path id.
+
+    Paths grow by one symbol per step: path p extended by symbol y is path
+    p * m + y, and its last symbol is y, so each step adds tau2(last, y) to
+    the sums in the order a step-by-step sum along the path would.
+    """
     m = mspec.alphabet.size
-    total = m ** n
-    ids = np.arange(total, dtype=np.int64)
-    flat = mspec.tau2_array.reshape(m * m, mspec.d)
-    stats = np.zeros((total, mspec.d))
-    prev = np.full(total, mspec.x0 - 1, dtype=np.int64)
-    for i in range(n):
-        digit = (ids // (m ** (n - 1 - i))) % m
-        stats += flat[prev * m + digit]
-        prev = digit
+    tau2 = mspec.tau2_array.reshape(m, m, mspec.d)
+    stats = np.zeros((1, mspec.d)) + tau2[mspec.x0 - 1]
+    for _ in range(n - 1):
+        stats = (stats.reshape(-1, m, 1, mspec.d) + tau2).reshape(-1, mspec.d)
     return stats
 
 
@@ -205,7 +205,7 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
                           hint="raise --budget-paths")
     stats = _all_path_stats(mspec, n)
     return TypeIndex(mspec, n, "markov", grid.cell_index(stats / n),
-                     [1] * len(stats), stats, grid.center_of_index)
+                     [1], np.zeros(len(stats), dtype=np.int64), stats, grid.center_of_index)
 
 
 # tsbench's analysis workload and tracer call these two by name; rates

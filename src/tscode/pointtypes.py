@@ -23,7 +23,7 @@ from .typeclass import (
     TypeIndex,
     check_composition_budget,
     composition_array,
-    multinomials_colex,
+    multiset_sizes,
 )
 
 
@@ -248,7 +248,7 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
         return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
 
     return TypeIndex(spec, n, "point", comps @ lmap.L_array,
-                     multinomials_colex(n, m), comps, centers_of_keys)
+                     *multiset_sizes(comps), comps, centers_of_keys)
 
 
 def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:

@@ -19,7 +19,7 @@ from .typeclass import (
     TypeIndex,
     check_composition_budget,
     composition_array,
-    multinomials_colex,
+    multiset_sizes,
 )
 
 # Relative tolerance for resolving floating-point boundary ties toward the
@@ -102,10 +102,11 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     check_composition_budget(n, m, budget)
     comps = composition_array(n, m)
     # einsum, not @: numpy hands a float matmul to the BLAS thread pool,
-    # which made this tall (N, m) x (m, d) product up to 10x slower
-    stats = np.einsum("ij,jk->ik", comps.astype(float), spec.tau_array) / n
-    return TypeIndex(spec, n, "quantized", grid.cell_index(stats),
-                     multinomials_colex(n, m), comps, grid.center_of_index)
+    # which made this tall (N, m) x (m, d) product up to 10x slower; the
+    # statistics are dropped once their cells are known
+    keys = grid.cell_index(np.einsum("ij,jk->ik", comps.astype(float), spec.tau_array) / n)
+    return TypeIndex(spec, n, "quantized", keys, *multiset_sizes(comps), comps,
+                     grid.center_of_index)
 
 
 def type_size_of_sequence(index: TypeIndex, xs) -> int:

@@ -9,7 +9,10 @@ pair-statistic cuboid for the Markov mode — with exact big-integer sizes.
 Compositions are enumerated in colexicographic order of the count vector
 (last coordinate most significant); a composition's member id is its row in
 that enumeration, and a Markov path's member id is its packed base-m value.
-Both orders are part of the codec contract.
+Both orders are part of the codec contract. A composition's size depends only
+on its multiset of counts, so the exact sizes are a table with one int per
+multiset, which every composition with that multiset shares; an index takes
+the table and each member's row in it.
 
 Inside a composition, sequences are ranked lexicographically (enumerative
 coding, Cover 1973). Below ``SPLIT_MIN_N`` symbols the rank takes one
@@ -85,38 +88,60 @@ def colex_rank(counts: Sequence[int]) -> int:
     return rank
 
 
-def _extend_binomial_row(out: list[int], scale: int, r: int) -> None:
-    """Append scale * C(r, k) for k = 0..r: one small multiply and one small
-    divide per entry of the first half, the mirror image for the rest."""
-    row = [scale]
-    v = scale
-    for k in range(1, r // 2 + 1):
-        v = v * (r - k + 1) // k
-        row.append(v)
-    out += row
-    out += reversed(row[:r + 1 - len(row)])
+def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """One exact multinomial per count multiset of ``comps``, an (N, m) array
+    of every m-part composition of one n, and each composition's row in that
+    list; compositions with equal multisets share one int.
 
-
-def multinomials_colex(n: int, m: int) -> list[int]:
-    """Exact multinomial coefficients aligned with ``composition_array(n, m)``.
-
-    Fixing the counts at positions 2..m-1 leaves a block of rows whose first
-    two counts run over (r - k, k), k = 0..r. Those blocks follow the colex
-    order of the (m-1)-part compositions (r, counts 2..m-1), and each block
-    is that composition's multinomial times the binomial row C(r, k).
+    A multiset is an ascending count vector a_0 <= ... <= a_{m-1}. Fixing
+    a_2..a_{m-1} leaves r = a_0 + a_1 and a block of rows (k, r - k),
+    k = max(0, r - a_2)..r // 2, whose sizes are the multinomial of
+    (r, a_2, .., a_{m-1}) times the binomial row C(r, k), extended by one
+    small multiply and one small divide per entry. A composition finds its
+    row by the mixed-radix value of its sorted counts a_0..a_{m-2}, digit j in
+    base n // (m - j) + 1 (an ascending vector has a_j <= n / (m - j)). That
+    value is below C(n + m - 1, m - 1) = N, so it fits in int64 and indexes a
+    dense lookup.
     """
+    N, m = comps.shape
     if m == 1:
-        return [1]
-    out: list[int] = []
-    outer = multinomials_colex(n, m - 1)
-    for scale, r in zip(outer, composition_array(n, m - 1)[:, 0].tolist()):
-        _extend_binomial_row(out, scale, r)
-    return out
+        return [1], np.zeros(N, dtype=np.int64)
+    n = int(comps[0].sum())
+    weights = [1]
+    for j in range(m - 2):
+        weights.append(weights[-1] * (n // (m - j) + 1))
+    weights.append(0)  # a_{m-1} is n less the others
+    # (a_0 + .. + a_j, a_{j+1}, multinomial of (that sum, a_{j+1}, ..), key
+    # digits of a_{j+1}..) for every choice of a_{j+1}..a_{m-1}, j = m-1..1
+    tails = [(n, n, 1, 0)]
+    for j in range(m - 1, 1, -1):
+        tails = [(rest - a, a, scale * math.comb(rest, a), key + a * weights[j])
+                 for rest, top, scale, key in tails
+                 for a in range(-(-rest // (j + 1)), min(top, rest) + 1)]
+    values: list[int] = []
+    blocks = []  # (r, least k, key digits of a_2..a_{m-1})
+    for r, top, scale, key in tails:
+        k0 = max(0, r - top)
+        blocks.append((r, k0, key))
+        v = scale * math.comb(r, k0)
+        values.append(v)
+        for k in range(k0 + 1, r // 2 + 1):
+            v = v * (r - k + 1) // k
+            values.append(v)
+    r, k0, tail = (np.array(col, dtype=np.int64) for col in zip(*blocks))
+    lengths = r // 2 - k0 + 1
+    k = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths - k0, lengths)
+    row_keys = np.repeat(tail + r * weights[1], lengths) + k * (weights[0] - weights[1])
+    lookup = np.empty(int(row_keys.max()) + 1, dtype=np.int64)
+    lookup[row_keys] = np.arange(len(row_keys))
+    return values, lookup[np.sort(comps, axis=1) @ np.array(weights, dtype=np.int64)]
 
 
-def rank_in_composition(counts: Sequence[int], sym_idx) -> int:
+def rank_in_composition(counts: Sequence[int], sym_idx, size: int | None = None) -> int:
     """Lexicographic index of a sequence (0-based symbols, a list or 1-D
-    integer array) among the permutations of its multiset ``counts``.
+    integer array) among the permutations of its multiset ``counts``;
+    ``size`` is their number, the multinomial of the counts, when the caller
+    already holds it.
 
     Short sequences take the per-symbol loop; from ``SPLIT_MIN_N`` symbols on
     the rank is summed by binary splitting, which gives the same integer.
@@ -125,16 +150,17 @@ def rank_in_composition(counts: Sequence[int], sym_idx) -> int:
     if seq.ndim != 1 or np.bincount(seq, minlength=len(counts)).tolist() != list(counts):
         raise ValueError(f"counts {list(counts)} do not match the sequence")
     if len(seq) < SPLIT_MIN_N:
-        return rank_per_symbol(counts, seq.tolist())
-    return rank_binary_split(counts, seq)
+        return rank_per_symbol(counts, seq.tolist(), size)
+    return rank_binary_split(counts, seq, size)
 
 
-def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
+def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int], size: int | None = None) -> int:
     """``rank_in_composition`` by one big-integer step per symbol; the counts
     must match the sequence."""
     rem_counts = list(counts)
     remaining = sum(rem_counts)
-    size = multinomial(rem_counts)
+    if size is None:
+        size = multinomial(rem_counts)
     rank = 0
     for x in sym_idx:
         for y in range(x):
@@ -146,7 +172,7 @@ def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int]) -> int:
     return rank
 
 
-def rank_binary_split(counts: Sequence[int], x: np.ndarray) -> int:
+def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int | None = None) -> int:
     """``rank_in_composition`` by binary splitting (Haible & Papanikolaou
     1998); the counts must match the int64 sequence ``x``.
 
@@ -187,7 +213,8 @@ def rank_binary_split(counts: Sequence[int], x: np.ndarray) -> int:
     runs = [a.astype(object) for a in runs]
     for _ in range(object_levels):
         runs = _join_pairs(*runs)
-    size = multinomial(counts)
+    if size is None:
+        size = multinomial(counts)
     rank = 0
     for t, pp, qq in zip(*(a.tolist() for a in runs)):
         rank += size * t // qq
@@ -242,14 +269,27 @@ def unpack_path(alphabet_size: int, packed: int, n: int) -> list[int]:
 
 
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Groups of equal rows of a nonempty (N, k) array, in ascending
+    """Groups of equal rows of a nonempty (N, k) integer array, in ascending
     lexicographic order, from one stable sort: the row ids grouped (ids
     ascending inside a group), the CSR bounds of the groups in that order,
-    and the group of each row."""
-    order = np.lexsort(rows.T[::-1])
-    grouped = rows[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], np.any(grouped[1:] != grouped[:-1], axis=1))))
+    and the group of each row.
+
+    When the product of the column spans fits in int64, the sort runs over
+    one mixed-radix key per row (first column most significant), which
+    orders the rows as ``lexsort`` does; otherwise over ``lexsort``.
+    """
+    lows = rows.min(axis=0)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows.tolist(), rows.max(axis=0).tolist())]
+    if math.prod(spans) < 2 ** 63:
+        weights = np.cumprod([1] + spans[:0:-1])[::-1].astype(np.int64)
+        keys = (rows - lows) @ weights
+        order = np.argsort(keys, kind="stable")
+        new_group = np.diff(keys[order]) != 0
+    else:
+        order = np.lexsort(rows.T[::-1])
+        grouped = rows[order]
+        new_group = np.any(grouped[1:] != grouped[:-1], axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_group)))
     bounds = np.append(starts, len(order))
     group_of = np.empty(len(order), dtype=np.int64)
     group_of[order] = np.repeat(np.arange(len(starts)), np.diff(bounds))
@@ -311,34 +351,54 @@ class TypeIndex:
     member's exact sequence count). ``members`` holds the member ids grouped
     by class (CSR ``bounds``, ascending inside a class), and
     ``grouped_sizes`` the members' exact sequence counts in that layout.
+
+    Member sizes arrive as a table of exact sizes, ``size_values`` (one per
+    count multiset, or the one row ``[1]`` for Markov paths), and each
+    member's row in it, ``member_size_rows``; members and singleton classes
+    share the table's ints. A class with several members appends its exact
+    sum to the table. log2 is taken once per row, and the classes are ordered
+    by a stable argsort of the dense rank of their row's exact value among the
+    rows that classes use, so that equal sizes, also in different rows, share
+    a rank and keep key order.
     """
 
     def __init__(self, spec, n: int, mode: str, member_keys: np.ndarray,
-                 member_sizes: Sequence[int], member_stats: np.ndarray,
+                 size_values: Sequence[int], member_size_rows: np.ndarray,
+                 member_stats: np.ndarray,
                  centers_of_keys: Callable[[np.ndarray], np.ndarray]):
         self.spec = spec
         self.n = n
         self.mode = mode  # "quantized" | "point" | "markov"
         self.member_stats = member_stats
-        self.member_log2_sizes = np.fromiter(map(math.log2, member_sizes), float,
-                                             count=len(member_stats))
-        # one stable sort: classes in key order, member ids ascending inside;
-        # a singleton class shares its member's int
+        row_log2 = np.fromiter(map(math.log2, size_values), float, count=len(size_values))
+        self.member_log2_sizes = row_log2[member_size_rows]
+        # one stable sort: classes in key order, member ids ascending inside
         members, bounds, member_class = group_rows(member_keys)
-        grouped_sizes = np.array(member_sizes, dtype=object)[members]
-        sizes = np.add.reduceat(grouped_sizes, bounds[:-1]).tolist()
-        # codec order: a stable argsort of log2 sizes (a singleton's is its
-        # member's) leaves only near-equal sizes out of order, and equal sizes
-        # have equal logs, so ties keep their key order; the stable sort by
-        # exact size then runs over nearly sorted ids
-        log2_sizes = self.member_log2_sizes[members[bounds[:-1]]]
+        grouped_rows = member_size_rows[members]
+        table = np.array(size_values, dtype=object)
+        grouped_sizes = table[grouped_rows]
+        class_rows = grouped_rows[bounds[:-1]]
         merged = np.flatnonzero(np.diff(bounds) > 1)
-        log2_sizes[merged] = [math.log2(sizes[c]) for c in merged.tolist()]
-        order = np.array(sorted(np.argsort(log2_sizes, kind="stable").tolist(),
-                                key=sizes.__getitem__), dtype=np.int64)
+        if len(merged):
+            sums = np.add.reduceat(grouped_sizes, bounds[:-1])[merged]
+            class_rows[merged] = np.arange(len(table), len(table) + len(sums))
+            table = np.concatenate((table, sums))
+            row_log2 = np.concatenate((row_log2, [math.log2(v) for v in sums.tolist()]))
+        # dense rank of each used row's exact value, so equal values share a
+        # rank; after the exact sort, neighbours with unequal logs are unequal
+        used = np.flatnonzero(np.bincount(class_rows, minlength=len(table))).tolist()
+        used.sort(key=table.__getitem__)
+        log2_used = row_log2[used]
+        steps = log2_used[1:] != log2_used[:-1]
+        for i in np.flatnonzero(~steps).tolist():
+            steps[i] = table[used[i]] != table[used[i + 1]]
+        rank_of_row = np.zeros(len(table), dtype=np.int64)
+        rank_of_row[used] = np.concatenate(([0], np.cumsum(steps)))
+        order = np.argsort(rank_of_row[class_rows], kind="stable")
         # renumber the classes in that order and move their member runs along
-        self.sizes = list(map(sizes.__getitem__, order.tolist()))
-        self.log2_sizes = log2_sizes[order]
+        class_rows = class_rows[order]
+        self.sizes = table[class_rows].tolist()
+        self.log2_sizes = row_log2[class_rows]
         counts = np.diff(bounds)[order]
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
         gather = np.repeat(bounds[order] - self.bounds[:-1], counts) + np.arange(len(members))
@@ -371,15 +431,28 @@ class TypeIndex:
     def total_size(self) -> int:
         return sum(self.sizes)
 
-    def member_of(self, xs) -> tuple[int, int]:
-        """The member holding a length-n sequence, and the sequence's rank in it."""
+    def locate(self, xs) -> tuple[int, int]:
+        """The layout position of the member holding a length-n sequence, and
+        the sequence's rank in that member (given the member's exact size)."""
         idx = self.spec.alphabet.indices(xs)
         if len(idx) != self.n:
             raise ValueError(f"sequence length {len(idx)} does not match index n={self.n}")
         if self.mode == "markov":
-            return pack_path(self.alphabet_size, idx.tolist()), 0
-        counts = np.bincount(idx, minlength=self.alphabet_size).tolist()
-        return colex_rank(counts), rank_in_composition(counts, idx)
+            member = pack_path(self.alphabet_size, idx.tolist())
+        else:
+            counts = np.bincount(idx, minlength=self.alphabet_size).tolist()
+            member = colex_rank(counts)
+        c = int(self.member_class[member])
+        lo, hi = self.bounds[c], self.bounds[c + 1]
+        pos = int(lo + np.searchsorted(self.members[lo:hi], member))
+        if self.mode == "markov":
+            return pos, 0
+        return pos, rank_in_composition(counts, idx, self.grouped_sizes[pos])
+
+    def member_of(self, xs) -> tuple[int, int]:
+        """The member holding a length-n sequence, and the sequence's rank in it."""
+        pos, within = self.locate(xs)
+        return int(self.members[pos]), within
 
     def sequence_of(self, member: int, within: int, size: int | None = None) -> tuple[int, ...]:
         """Inverse of member_of: the 1-based sequence at rank ``within``;

@@ -295,7 +295,7 @@ def test_psi_shift_invariance(m, seed):
         return
     shift = rng.normal(size=2)
     fam2 = FamilySpec.create((tau + shift).tolist(), rho_max=2.0)
-    theta = rng.normal(size=2) * 0.5
+    theta = rng.uniform(-1.0, 1.0, size=2)  # |theta| <= sqrt 2, inside rho_max 2
     assert psi(fam2, theta) == pytest.approx(
         psi(fam, theta) + float(np.dot(theta, shift)), abs=1e-9)
 

@@ -14,7 +14,7 @@ from tscode.typeclass import (
     composition_array,
     composition_count,
     multinomial,
-    multinomials_colex,
+    multiset_sizes,
 )
 
 
@@ -100,11 +100,28 @@ class TestCompositions:
         assert multinomial((2, 3, 1)) == 60
         for m in range(1, 6):
             for n in range(9):
-                sizes = multinomials_colex(n, m)
-                comps = composition_array(n, m).tolist()
-                assert sizes == [multinomial(c) for c in comps]
+                comps = composition_array(n, m)
+                values, rows = multiset_sizes(comps)
+                sizes = [values[r] for r in rows.tolist()]
+                assert sizes == [multinomial(c) for c in comps.tolist()]
                 assert sum(sizes) == m ** n
-        assert sum(multinomials_colex(1024, 3)) == 3 ** 1024
+                # one row per count multiset
+                assert len(values) == len({tuple(sorted(c)) for c in comps.tolist()})
+        values, rows = multiset_sizes(composition_array(1024, 3))
+        assert sum(values[r] for r in rows.tolist()) == 3 ** 1024
+
+    def test_equal_multisets_share_one_int(self, ternary):
+        n = 40
+        index = build_type_index(ternary, n, Grid.create(n=n, s=1.0, d=2))
+        objects = {}
+        for member, size in zip(index.members.tolist(), index.grouped_sizes):
+            multiset = tuple(sorted(index.member_stats[member].tolist()))
+            objects.setdefault(multiset, set()).add(id(size))
+        assert len(objects) == len(multiset_sizes(composition_array(n, 3))[0])
+        assert all(len(ids) == 1 for ids in objects.values())
+        # every class here is one composition, and shares that member's int
+        assert all(size is index.grouped_sizes[index.bounds[c]]
+                   for c, size in enumerate(index.sizes))
 
 
 class TestBuildTypeIndex:

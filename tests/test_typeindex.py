@@ -13,6 +13,7 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,24 +75,29 @@ def memoryless_cases(draw):
     return spec, n, s, anchor, theta
 
 
+def _memoryless_index(spec, mode, n, s, anchor):
+    """The index of one memoryless mode, and the class key of a sequence
+    worked out from the sequence alone."""
+    if mode == "quantized":
+        grid = Grid.create(n=n, s=s, d=spec.d, anchor=anchor)
+
+        def key_of(xs):
+            return tuple(grid.cell_index(suffstat(spec, xs)).tolist())
+        return build_type_index(spec, n, grid), key_of
+    lmap = derive_lattice(ExactStatMap.from_rational_tau(spec))
+
+    def key_of(xs):
+        return point_class_of(lmap, spec, xs).scaled
+    return point_type_index(spec, lmap, n), key_of
+
+
 class TestColumnarIndex:
     @given(memoryless_cases(), st.sampled_from(["quantized", "point"]))
     @settings(max_examples=60, deadline=None)
     def test_memoryless_modes(self, case, mode):
         spec, n, s, anchor, theta = case
         m = spec.alphabet.size
-        if mode == "quantized":
-            grid = Grid.create(n=n, s=s, d=spec.d, anchor=anchor)
-            index = build_type_index(spec, n, grid)
-
-            def key_of(xs):
-                return tuple(grid.cell_index(suffstat(spec, xs)).tolist())
-        else:
-            lmap = derive_lattice(ExactStatMap.from_rational_tau(spec))
-            index = point_type_index(spec, lmap, n)
-
-            def key_of(xs):
-                return point_class_of(lmap, spec, xs).scaled
+        index, key_of = _memoryless_index(spec, mode, n, s, anchor)
         pmf = evaluate(spec, theta).pmf
         _check_ordering(ClassOrdering(index), m, key_of,
                         lambda xs: math.prod(pmf[x - 1] for x in xs),
@@ -124,6 +130,26 @@ class TestColumnarIndex:
         _check_ordering(ClassOrdering(index), m, key_of,
                         lambda xs: math.prod(p[a - 1, b - 1] for a, b in steps(xs)),
                         markov_class_masses(index, theta))
+
+
+@pytest.mark.parametrize("mode, m, n", [("quantized", 3, 8), ("point", 4, 7)])
+def test_ties_between_count_multisets(mode, m, n):
+    # the first blocklengths at which different count multisets have equal
+    # multinomials, M(0,3,5) = M(1,1,6) = 56 and M(0,2,2,3) = M(1,1,1,4) =
+    # 210, beyond MAX_N; every composition here is a class of its own
+    tau = np.vstack((np.zeros(m - 1), np.eye(m - 1))).tolist()
+    spec = FamilySpec.create(tau, rho_max=2.0)
+    index, key_of = _memoryless_index(spec, mode, n, 1.0, None)
+    multisets = {}
+    for c, size in enumerate(index.sizes):
+        counts = index.member_stats[index.members[index.bounds[c]]].tolist()
+        multisets.setdefault(size, set()).add(tuple(sorted(counts)))
+    assert max(map(len, multisets.values())) == 2
+    theta = [0.3, -0.2, 0.1][:m - 1]
+    pmf = evaluate(spec, theta).pmf
+    _check_ordering(ClassOrdering(index), m, key_of,
+                    lambda xs: math.prod(pmf[x - 1] for x in xs),
+                    class_masses(SourceSpec(spec, tuple(theta)), index))
 
 
 def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, sqrt2_statmap,
