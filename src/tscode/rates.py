@@ -236,24 +236,6 @@ def third_order_fit(source: SourceSpec, n_list, epsilon: float,
                      points=tuple(points), mode=mode, epsilon=epsilon)
 
 
-def group_counts(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (N, m) count matrix whose rows each sum to n,
-    in ascending lexicographic order, and how often each occurs.
-
-    The first m-1 counts determine a row, so their mixed-radix value in base
-    n+1 (first count most significant) is a one-integer key in the same
-    order; ``group_rows`` stands in when that key could overflow int64.
-    """
-    m = counts.shape[1]
-    if (n + 1) ** (m - 1) >= 2 ** 62:
-        grouped, bounds, _ = group_rows(counts)
-        return counts[grouped[bounds[:-1]]], np.diff(bounds)
-    radix = np.array([(n + 1) ** k for k in range(m - 2, -1, -1)], dtype=np.int64)
-    _, first, weights = np.unique(counts[:, :-1] @ radix, return_index=True,
-                                  return_counts=True)
-    return counts[first], weights
-
-
 def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> float:
     """Sup deviation on z in [-3,3] (step 0.01) between the Monte Carlo tail
     of the normalized plug-in self-information and the Gaussian tail.
@@ -275,20 +257,31 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     ev = evaluate(fam, source.theta_array)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(n, ev.pmf, size=samples)
-    uniq, weights = group_counts(counts, n)
-    taus = (uniq.astype(float) @ fam.tau_array) / n
+    grouped, bounds, _ = group_rows(counts)
+    taus = (counts[grouped[bounds[:-1]]].astype(float) @ fam.tau_array) / n
     theta_hat, psi_hat = mle_batch(fam, taus)
     loglik = n * (np.einsum("ij,ij->i", theta_hat, taus) - psi_hat)
     zvals = (-loglik - n * h) / (math.sqrt(n) * sigma)
     order = np.argsort(zvals)
     zs = zvals[order]
-    wts = weights[order].astype(float)
+    wts = np.diff(bounds)[order].astype(float)
     tail_from = np.concatenate([np.cumsum(wts[::-1])[::-1], [0.0]]) / samples
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.01)
     emp = tail_from[np.searchsorted(zs, grid, side="right")]
     gauss = np.array([gaussian_Q(z) for z in grid.tolist()])
     # a NumPy scalar, whose repr check_report.txt has always carried
     return np.abs(emp - gauss).max()
+
+
+def _center_loglik(spec: FamilySpec, index: TypeIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per member of a memoryless index: its statistic average, and the
+    log-likelihood n (<theta_c, stat> - psi(theta_c)) of its sequences at the
+    ML parameter theta_c of its class's center (one batch over the centers)."""
+    n = index.n
+    stats = (index.member_stats.astype(float) @ spec.tau_array) / n
+    theta_c, psi_c = mle_batch(spec, index.centers)
+    cls = index.member_class
+    return stats, n * (np.einsum("ij,ij->i", theta_c[cls], stats) - psi_c[cls])
 
 
 def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
@@ -301,13 +294,9 @@ def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
     nonnegative by construction.
     """
     index = build_type_index(spec, n, grid, budget=budget)
-    comps = index.member_stats
-    stats = (comps.astype(float) @ spec.tau_array) / n
+    stats, lp_center = _center_loglik(spec, index)
     bound = 2 * spec.kappa * grid.s
-    cell_of = index.member_class
-    theta_c, psi_c = mle_batch(spec, index.centers)
     theta_hat, psi_hat = mle_batch(spec, stats)
-    lp_center = n * (np.einsum("ij,ij->i", theta_c[cell_of], stats) - psi_c[cell_of])
     lp_hat = n * (np.einsum("ij,ij->i", theta_hat, stats) - psi_hat)
     gaps = np.maximum(lp_hat, lp_center) - lp_center
     over = np.flatnonzero(gaps > bound + 1e-9)
@@ -315,7 +304,7 @@ def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
         row = int(over[0])
         raise RuntimeError(
             f"likelihood approximation gap {gaps[row]:.6g} exceeds 2*kappa*s = "
-            f"{bound:.6g} at counts {tuple(comps[row].tolist())}"
+            f"{bound:.6g} at counts {tuple(index.member_stats[row].tolist())}"
         )
     return float(gaps.max())
 
@@ -324,12 +313,9 @@ def max_sandwich_deviation(spec: FamilySpec, grid: Grid, index: TypeIndex) -> fl
     """Max over all sequences of |log2 |T| - r(x^n)| for the class-size
     sandwich, where r uses the likelihood at the class's cuboid center."""
     n = index.n
-    taus = (index.member_stats.astype(float) @ spec.tau_array) / n
-    theta_c, psi_c = mle_batch(spec, index.centers)
-    cls = index.member_class
-    lp = n * (np.einsum("ij,ij->i", taus, theta_c[cls]) - psi_c[cls])
+    _, lp = _center_loglik(spec, index)
     r = -lp - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
-    return float(np.abs(index.log2_sizes[cls] - r).max())
+    return float(np.abs(index.log2_sizes[index.member_class] - r).max())
 
 
 def sandwich_sweep(spec: FamilySpec, n_list, s: float, anchor=None,

@@ -276,17 +276,26 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     When the product of the column spans fits in int64, the sort runs over
     one mixed-radix key per row (first column most significant), which
-    orders the rows as ``lexsort`` does; otherwise over ``lexsort``.
+    orders the rows as ``lexsort`` does; otherwise over ``lexsort``. Lows,
+    spans and key are built one column at a time: on a tall array that is
+    several times faster than the axis-0 reductions and an int64 matmul.
     """
-    lows = rows.min(axis=0)
-    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(lows.tolist(), rows.max(axis=0).tolist())]
-    if math.prod(spans) < 2 ** 63:
-        weights = np.cumprod([1] + spans[:0:-1])[::-1].astype(np.int64)
-        keys = (rows - lows) @ weights
-        order = np.argsort(keys, kind="stable")
-        new_group = np.diff(keys[order]) != 0
+    cols = rows.T
+    lows = [int(col.min()) for col in cols]
+    spans = [int(col.max()) - lo + 1 for col, lo in zip(cols, lows)]
+    key_count = math.prod(spans)
+    if key_count < 2 ** 63:
+        keys = (cols[0] - lows[0]).astype(np.int64, copy=False)
+        for col, lo, span in zip(cols[1:], lows[1:], spans[1:]):
+            keys *= span
+            keys += col - lo
+        # sorted in their narrowest unsigned type: numpy radix-sorts keys
+        # below 2^16, several times faster than int64
+        order = np.argsort(keys.astype(np.min_scalar_type(key_count - 1)), kind="stable")
+        keys = keys[order]
+        new_group = keys[1:] != keys[:-1]
     else:
-        order = np.lexsort(rows.T[::-1])
+        order = np.lexsort(cols[::-1])
         grouped = rows[order]
         new_group = np.any(grouped[1:] != grouped[:-1], axis=1)
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
@@ -431,22 +440,25 @@ class TypeIndex:
     def total_size(self) -> int:
         return sum(self.sizes)
 
-    def locate(self, xs) -> tuple[int, int]:
-        """The layout position of the member holding a length-n sequence, and
-        the sequence's rank in that member (given the member's exact size)."""
+    def _member(self, xs) -> tuple[np.ndarray, int]:
+        """The symbol indices of a length-n sequence and the member holding it."""
         idx = self.spec.alphabet.indices(xs)
         if len(idx) != self.n:
             raise ValueError(f"sequence length {len(idx)} does not match index n={self.n}")
         if self.mode == "markov":
-            member = pack_path(self.alphabet_size, idx.tolist())
-        else:
-            counts = np.bincount(idx, minlength=self.alphabet_size).tolist()
-            member = colex_rank(counts)
+            return idx, pack_path(self.alphabet_size, idx.tolist())
+        return idx, colex_rank(np.bincount(idx, minlength=self.alphabet_size).tolist())
+
+    def locate(self, xs) -> tuple[int, int]:
+        """The layout position of the member holding a length-n sequence, and
+        the sequence's rank in that member (given the member's exact size)."""
+        idx, member = self._member(xs)
         c = int(self.member_class[member])
         lo, hi = self.bounds[c], self.bounds[c + 1]
         pos = int(lo + np.searchsorted(self.members[lo:hi], member))
         if self.mode == "markov":
             return pos, 0
+        counts = self.member_stats[member].tolist()
         return pos, rank_in_composition(counts, idx, self.grouped_sizes[pos])
 
     def member_of(self, xs) -> tuple[int, int]:
@@ -464,7 +476,7 @@ class TypeIndex:
         return tuple(y + 1 for y in digits)
 
     def class_of_sequence(self, xs) -> TypeClass:
-        return TypeClass(self.columns, int(self.member_class[self.member_of(xs)[0]]))
+        return TypeClass(self.columns, int(self.member_class[self._member(xs)[1]]))
 
     def export_table(self) -> str:
         """One row per class: center coordinates, member count, exact size."""

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tscode.typeclass
 from tscode.errors import BudgetError, SpecError
 from tscode.family import FamilySpec, suffstat
 from tscode.quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of, type_size_of_sequence
@@ -222,6 +223,22 @@ class TestTypeSizeOfSequence:
         a = type_size_of_sequence(idx, [1, 2, 3, 2, 1])
         b = type_size_of_sequence(idx, [3, 2, 2, 1, 1])
         assert a == b
+
+    def test_no_rank_inside_the_composition(self, ternary, monkeypatch):
+        # the class of a sequence needs its counts only, not its rank
+        g = Grid.create(n=6, s=2.0, d=2)
+        idx = build_type_index(ternary, 6, g)
+        seqs = list(product((1, 2, 3), repeat=6))
+        keys = [tuple(g.cell_index(suffstat(ternary, xs))) for xs in seqs]
+        sizes = {key: keys.count(key) for key in set(keys)}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("rank_in_composition called")
+        monkeypatch.setattr(tscode.typeclass, "rank_in_composition", fail)
+        for xs, key in zip(seqs, keys):
+            assert type_size_of_sequence(idx, xs) == sizes[key]
+            assert idx.class_of_sequence(xs).size == sizes[key]
+        assert max(sizes.values()) > math.comb(6, 2) * math.comb(4, 2)  # merged classes
 
 
 class TestBoundFunctions:

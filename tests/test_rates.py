@@ -21,7 +21,6 @@ from tscode.rates import (
     eps_rate,
     gaussian_Q,
     gaussian_Qinv,
-    group_counts,
     m_eps,
     max_sandwich_deviation,
     ml_approx_check,
@@ -30,7 +29,6 @@ from tscode.rates import (
     sandwich_sweep,
     third_order_fit,
 )
-from tscode.typeclass import group_rows
 from conftest import theta_for_p1
 
 
@@ -447,47 +445,6 @@ class TestNormality:
                                seed=7).hex() == "0x1.38bafd514161fp-4"
         assert normality_check(SourceSpec(ternary, (0.6, -0.4)), 256, 10_000,
                                seed=3).hex() == "0x1.0380cc7aa5c64p-4"
-
-
-def _grouped_by_rows(counts):
-    grouped, bounds, _ = group_rows(counts)
-    return counts[grouped[bounds[:-1]]], np.diff(bounds)
-
-
-class TestGroupCounts:
-    @given(st.integers(1, 6), st.integers(0, 60), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_key_grouping_matches_group_rows(self, m, n, rows, seed):
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(n, rng.dirichlet(np.ones(m)), size=rows)
-        uniq, weights = group_counts(counts, n)
-        ref_uniq, ref_weights = _grouped_by_rows(counts)
-        assert np.array_equal(uniq, ref_uniq) and np.array_equal(weights, ref_weights)
-
-    @pytest.mark.parametrize("n, m, fallback", [
-        (2 ** 31 - 2, 3, False),  # (n+1)^2 = 2^62 - 2^32 + 1: the key still fits
-        (2 ** 31 - 1, 3, True),   # (n+1)^2 = 2^62
-        (1, 62, False),           # 2^61
-        (1, 63, True),            # 2^62
-    ])
-    def test_int64_boundary_picks_the_branch(self, n, m, fallback, monkeypatch):
-        calls = []
-
-        def spy(rows):
-            calls.append(len(rows))
-            return group_rows(rows)
-        monkeypatch.setattr(tscode.rates, "group_rows", spy)
-        rows = [[0] * m for _ in range(6)]
-        for i, row in enumerate(rows):
-            row[i % m] = n                     # vertices
-        rows[4][0], rows[4][m - 1] = n - 1, 1  # neighbours of a vertex
-        rows[5][m - 1], rows[5][0] = n - 1, 1
-        counts = np.array(rows * 3 + rows[::-1], dtype=np.int64)
-        uniq, weights = group_counts(counts, n)
-        assert calls == ([len(counts)] if fallback else [])
-        ref_uniq, ref_weights = _grouped_by_rows(counts)
-        assert np.array_equal(uniq, ref_uniq) and np.array_equal(weights, ref_weights)
-        assert uniq.tolist() == sorted(map(list, set(map(tuple, rows))))
 
 
 class TestMlApprox:

@@ -5,7 +5,8 @@ small families every sequence is enumerated and the codec order is checked
 against definitions computed here directly from the sequences: the rank is
 a bijection onto [0, m^n), classes occupy contiguous rank ranges in
 ascending (size, key) order, every class holds exactly the sequences with
-its key, and class masses equal the per-sequence probability sums.
+its key, and class masses equal the per-sequence probability sums. The row
+grouping under the index is checked against sorted Python tuples.
 """
 
 import gc
@@ -28,6 +29,7 @@ from tscode.markov import (
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_class_of, point_type_index
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import SourceSpec, class_masses
+from tscode.typeclass import group_rows
 
 MAX_N = {2: 7, 3: 7, 4: 5}
 
@@ -171,3 +173,54 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
         assert index.class_of_sequence(xs).size >= 1
     del index, ordering, indexes
     assert gc.collect() == 0
+
+
+def _check_grouping(rows):
+    """group_rows against sorted distinct tuples: ids ascending in a group."""
+    order, bounds, group_of = group_rows(rows)
+    tuples = list(map(tuple, rows.tolist()))
+    distinct = sorted(set(tuples))
+    ids = [[i for i, t in enumerate(tuples) if t == key] for key in distinct]
+    assert order.tolist() == [i for group in ids for i in group]
+    assert bounds.tolist() == [0] + np.cumsum([len(group) for group in ids]).tolist()
+    assert group_of.tolist() == [distinct.index(t) for t in tuples]
+
+
+class TestGroupRows:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_tuples(self, data):
+        # cell indices can be negative; a wide bound takes the lexsort path
+        k = data.draw(st.integers(1, 4))
+        bound = data.draw(st.sampled_from([2, 1000, 2 ** 62]))
+        entry = st.integers(-bound, bound)
+        pool = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=8))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        _check_grouping(np.array([pool[i] for i in picks], dtype=np.int64).reshape(-1, k))
+
+    @pytest.mark.parametrize("lows, spans, lexsort", [
+        ((-2 ** 31, 0), (2 ** 32, 2 ** 31 - 1), False),  # 2^63 - 2^32: the key fits
+        ((-2 ** 31, 0), (2 ** 32, 2 ** 31), True),       # 2^63
+        ((0,) * 62, (2,) * 62, False),                   # 2^62
+        ((-1,) * 63, (2,) * 63, True),                   # 2^63
+    ])
+    def test_int64_boundary_picks_the_branch(self, lows, spans, lexsort, monkeypatch):
+        calls = []
+        np_lexsort = np.lexsort
+
+        def spy(keys):
+            calls.append(np.shape(keys))
+            return np_lexsort(keys)
+        monkeypatch.setattr(np, "lexsort", spy)
+        k = len(lows)
+        lo = np.array(lows, dtype=np.int64)
+        hi = lo + np.array(spans, dtype=np.int64) - 1
+        rows = [lo, hi, lo.copy(), hi.copy()]
+        for j in (0, k - 1):  # neighbours of the corners, in the first and last column
+            for corner, step in ((lo, 1), (hi, -1)):
+                row = corner.copy()
+                row[j] += step
+                rows.append(row)
+        rows = np.array(rows * 2 + rows[::-1])
+        _check_grouping(rows)
+        assert calls == ([(k, len(rows))] if lexsort else [])
