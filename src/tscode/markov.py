@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BudgetError, SpecError
 from .family import Alphabet, FamilySpec
 from .quantized import Grid
-from .typeclass import TypeIndex
+from .typeclass import ID_LIMIT_HINT, MAX_MEMBERS, TypeIndex
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -203,9 +203,11 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
     if n >= budget.bit_length() or m ** n > budget:
         raise BudgetError("path enumeration", f"{m}^{n}", budget,
                           hint="raise --budget-paths")
+    if m ** n > MAX_MEMBERS:
+        raise BudgetError("path enumeration", f"{m}^{n}", budget, hint=ID_LIMIT_HINT)
     stats = _all_path_stats(mspec, n)
-    return TypeIndex(mspec, n, "markov", grid.cell_index(stats / n),
-                     [1], np.zeros(len(stats), dtype=np.int64), stats, grid.center_of_index)
+    return TypeIndex(mspec, n, "markov", stats, [1], np.zeros(len(stats), dtype=np.int32),
+                     lambda sums: grid.cell_index(sums / n), grid.center_of_index)
 
 
 # tsbench's analysis workload and tracer call these two by name; rates

@@ -247,8 +247,8 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
     def centers_of_keys(keys):
         return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
 
-    return TypeIndex(spec, n, "point", comps @ lmap.L_array,
-                     *multiset_sizes(comps), comps, centers_of_keys)
+    return TypeIndex(spec, n, "point", comps, *multiset_sizes(comps),
+                     lambda counts: counts @ lmap.L_array, centers_of_keys)
 
 
 def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:

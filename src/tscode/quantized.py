@@ -101,17 +101,19 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     m = spec.alphabet.size
     check_composition_budget(n, m, budget)
     comps = composition_array(n, m)
-    # einsum, not @: numpy hands a float matmul to the BLAS thread pool,
-    # which made this tall (N, m) x (m, d) product up to 10x slower; the
-    # statistics are dropped once their cells are known
-    keys = grid.cell_index(np.einsum("ij,jk->ik", comps.astype(float), spec.tau_array) / n)
-    return TypeIndex(spec, n, "quantized", keys, *multiset_sizes(comps), comps,
+
+    def keys_of(counts):
+        # einsum, not @: numpy hands a float matmul to the BLAS thread pool,
+        # which made this tall (N, m) x (m, d) product up to 10x slower
+        return grid.cell_index(np.einsum("ij,jk->ik", counts.astype(float), spec.tau_array) / n)
+
+    return TypeIndex(spec, n, "quantized", comps, *multiset_sizes(comps), keys_of,
                      grid.center_of_index)
 
 
 def type_size_of_sequence(index: TypeIndex, xs) -> int:
     """Exact size of the type class containing the sequence."""
-    return index.class_of_sequence(xs).size
+    return index.sizes[index.member_class[index._member(xs)[1]]]
 
 
 def _cell_mle(spec: FamilySpec, grid: Grid, tau) -> np.ndarray:

@@ -37,6 +37,9 @@ from .errors import BudgetError
 DEFAULT_COMPOSITION_BUDGET = 5_000_000
 SPLIT_MIN_N = 192  # rank_in_composition splits from this many symbols on
 SPLIT_RUNS = 16  # runs left for the exact fold that ends a split rank
+MAX_MEMBERS = 2 ** 31 - 1  # member ids, bounds and member classes are int32
+ID_LIMIT_HINT = "member ids are int32, so an index holds fewer than 2^31 members whatever the budget"
+KEY_BLOCK = 1 << 16  # rows per call of a TypeIndex's keys_of
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -54,17 +57,19 @@ def composition_count(n: int, m: int) -> int:
 
 
 def composition_array(n: int, m: int) -> np.ndarray:
-    """All m-part compositions of n in ascending colex order, as (N, m) int64.
+    """All m-part compositions of n in ascending colex order, as (N, m) int32
+    (counts are at most n, and ``check_composition_budget`` keeps N and so n
+    below 2^31).
 
     Built from the most significant (last) count down: a row with r still to
     place expands into r + 1 rows, one per value 0..r of the next count.
     """
-    rest = np.array([n], dtype=np.int64)
+    rest = np.array([n], dtype=np.int32)
     cols: list[np.ndarray] = []
     for _ in range(m - 1):
         reps = rest + 1
-        starts = np.cumsum(reps) - reps
-        count = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        starts = np.cumsum(reps, dtype=np.int32) - reps
+        count = np.arange(int(reps.sum()), dtype=np.int32) - np.repeat(starts, reps)
         cols = [np.repeat(c, reps) for c in cols]
         cols.append(count)
         rest = np.repeat(rest, reps) - count
@@ -91,39 +96,54 @@ def colex_rank(counts: Sequence[int]) -> int:
 def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     """One exact multinomial per count multiset of ``comps``, an (N, m) array
     of every m-part composition of one n, and each composition's row in that
-    list; compositions with equal multisets share one int.
+    list (int32); compositions with equal multisets share one int.
 
     A multiset is an ascending count vector a_0 <= ... <= a_{m-1}. Fixing
     a_2..a_{m-1} leaves r = a_0 + a_1 and a block of rows (k, r - k),
-    k = max(0, r - a_2)..r // 2, whose sizes are the multinomial of
-    (r, a_2, .., a_{m-1}) times the binomial row C(r, k), extended by one
-    small multiply and one small divide per entry. A composition finds its
-    row by the mixed-radix value of its sorted counts a_0..a_{m-2}, digit j in
-    base n // (m - j) + 1 (an ascending vector has a_j <= n / (m - j)). That
-    value is below C(n + m - 1, m - 1) = N, so it fits in int64 and indexes a
-    dense lookup.
+    k = max(0, r - a_2)..r // 2, whose sizes run along the binomial row
+    C(r, k), one small multiply and one small divide per entry. A block's
+    first size is carried from the previous block's, whose a_2 is one less
+    (same a_3..): their first rows differ by at most 2 in each count, so
+    that is one small multiply and one small divide too; the first block of
+    each a_3..a_{m-1} is the multinomial of (r, a_2, .., a_{m-1}) times
+    C(r, k). A composition finds its row by the mixed-radix value of its
+    sorted counts a_0..a_{m-2}, digit j in base n // (m - j) + 1 (an
+    ascending vector has a_j <= n / (m - j)). That value is below
+    C(n + m - 1, m - 1) = N, so it fits in int64 and indexes a dense lookup.
     """
     N, m = comps.shape
     if m == 1:
-        return [1], np.zeros(N, dtype=np.int64)
+        return [1], np.zeros(N, dtype=np.int32)
     n = int(comps[0].sum())
     weights = [1]
     for j in range(m - 2):
         weights.append(weights[-1] * (n // (m - j) + 1))
     weights.append(0)  # a_{m-1} is n less the others
-    # (a_0 + .. + a_j, a_{j+1}, multinomial of (that sum, a_{j+1}, ..), key
-    # digits of a_{j+1}..) for every choice of a_{j+1}..a_{m-1}, j = m-1..1
+    # (a_0 + .. + a_j, a_{j+1}, multinomial of (that sum, a_{j+1}, ..) or
+    # None past the least a_2 of its a_3.., key digits of a_{j+1}..) for
+    # every choice of a_{j+1}..a_{m-1}, j = m-1..1
     tails = [(n, n, 1, 0)]
     for j in range(m - 1, 1, -1):
-        tails = [(rest - a, a, scale * math.comb(rest, a), key + a * weights[j])
+        tails = [(rest - a, a, scale * math.comb(rest, a) if j > 2 or a == least else None,
+                  key + a * weights[j])
                  for rest, top, scale, key in tails
-                 for a in range(-(-rest // (j + 1)), min(top, rest) + 1)]
+                 for least in [-(-rest // (j + 1))]
+                 for a in range(least, min(top, rest) + 1)]
     values: list[int] = []
     blocks = []  # (r, least k, key digits of a_2..a_{m-1})
     for r, top, scale, key in tails:
         k0 = max(0, r - top)
+        if scale is None:
+            # first rows (k0, r - k0, a_2) here and (k, r + 1 - k, a_2 - 1)
+            # in the previous block: first *= prod(old counts!) / prod(new!)
+            old = (blocks[-1][1], r + 1 - blocks[-1][1], top - 1)
+            new = (k0, r - k0, top)
+            first = (first * math.prod(math.perm(a, a - b) for a, b in zip(old, new) if a > b)
+                     // math.prod(math.perm(b, b - a) for a, b in zip(old, new) if b > a))
+        else:
+            first = scale * math.comb(r, k0)
         blocks.append((r, k0, key))
-        v = scale * math.comb(r, k0)
+        v = first
         values.append(v)
         for k in range(k0 + 1, r // 2 + 1):
             v = v * (r - k + 1) // k
@@ -132,8 +152,8 @@ def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     lengths = r // 2 - k0 + 1
     k = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths - k0, lengths)
     row_keys = np.repeat(tail + r * weights[1], lengths) + k * (weights[0] - weights[1])
-    lookup = np.empty(int(row_keys.max()) + 1, dtype=np.int64)
-    lookup[row_keys] = np.arange(len(row_keys))
+    lookup = np.empty(int(row_keys.max()) + 1, dtype=np.int32)
+    lookup[row_keys] = np.arange(len(row_keys), dtype=np.int32)
     return values, lookup[np.sort(comps, axis=1) @ np.array(weights, dtype=np.int64)]
 
 
@@ -269,10 +289,10 @@ def unpack_path(alphabet_size: int, packed: int, n: int) -> list[int]:
 
 
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Groups of equal rows of a nonempty (N, k) integer array, in ascending
-    lexicographic order, from one stable sort: the row ids grouped (ids
-    ascending inside a group), the CSR bounds of the groups in that order,
-    and the group of each row.
+    """Groups of equal rows of a nonempty (N, k) integer array, N < 2^31, in
+    ascending lexicographic order, from one stable sort: the row ids grouped
+    (ids ascending inside a group), the CSR bounds of the groups in that
+    order, and the group of each row, all int32.
 
     When the product of the column spans fits in int64, the sort runs over
     one mixed-radix key per row (first column most significant), which
@@ -280,6 +300,8 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spans and key are built one column at a time: on a tall array that is
     several times faster than the axis-0 reductions and an int64 matmul.
     """
+    if len(rows) > MAX_MEMBERS:
+        raise ValueError(f"{len(rows)} rows do not fit int32 row ids")
     cols = rows.T
     lows = [int(col.min()) for col in cols]
     spans = [int(col.max()) - lo + 1 for col, lo in zip(cols, lows)]
@@ -294,14 +316,16 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(keys.astype(np.min_scalar_type(key_count - 1)), kind="stable")
         keys = keys[order]
         new_group = keys[1:] != keys[:-1]
+        del keys  # released before the int32 copies below
     else:
         order = np.lexsort(cols[::-1])
         grouped = rows[order]
         new_group = np.any(grouped[1:] != grouped[:-1], axis=1)
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
-    bounds = np.append(starts, len(order))
-    group_of = np.empty(len(order), dtype=np.int64)
-    group_of[order] = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    bounds = np.append(starts, len(order)).astype(np.int32)
+    order = order.astype(np.int32)
+    group_of = np.empty(len(order), dtype=np.int32)
+    group_of[order] = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(bounds))
     return order, bounds, group_of
 
 
@@ -352,14 +376,23 @@ class TypeIndex:
     """All type classes of one mode at one blocklength, stored as columns.
 
     Classes are numbered in codec order, ascending by (exact size, key), the
-    order in which the type-size code ranks them. Per class: ``keys`` (K,
-    kdim), ``centers`` (K, d), exact ``sizes`` (Python ints) and
-    ``log2_sizes`` (math.log2 of each exact size). Per member,
-    by member id: ``member_class``, ``member_stats`` (composition counts, or
-    Markov path-statistic sums) and ``member_log2_sizes`` (log2 of the
-    member's exact sequence count). ``members`` holds the member ids grouped
-    by class (CSR ``bounds``, ascending inside a class), and
-    ``grouped_sizes`` the members' exact sequence counts in that layout.
+    order in which the type-size code ranks them. The constructor builds
+    only what the codec reads: ``members``, the member ids grouped by class
+    (CSR ``bounds``, ascending inside a class), ``grouped_sizes``, the
+    members' exact sequence counts in that layout, and by member id
+    ``member_class`` and ``member_stats`` (composition counts, int32, or
+    Markov path-statistic sums). Member ids, ``bounds``, ``member_class``
+    and the table rows are int32; the composition and path budgets refuse an
+    index of 2^31 members or more, whatever their value.
+
+    The columns that only the rate analysis and the class views read are
+    derived on first read and then kept: per class, ``keys`` (K, kdim),
+    ``centers`` (K, d), exact ``sizes`` (Python ints) and ``log2_sizes``
+    (math.log2 of each exact size), and per member ``member_log2_sizes``
+    (log2 of the member's exact sequence count). Keys come from the stats of
+    each class's first member through ``keys_of``, a row-wise map from
+    member stats to class keys, and centers from the keys through
+    ``centers_of_keys``.
 
     Member sizes arrive as a table of exact sizes, ``size_values`` (one per
     count multiset, or the one row ``[1]`` for Markov paths), and each
@@ -371,22 +404,26 @@ class TypeIndex:
     a rank and keep key order.
     """
 
-    def __init__(self, spec, n: int, mode: str, member_keys: np.ndarray,
+    def __init__(self, spec, n: int, mode: str, member_stats: np.ndarray,
                  size_values: Sequence[int], member_size_rows: np.ndarray,
-                 member_stats: np.ndarray,
+                 keys_of: Callable[[np.ndarray], np.ndarray],
                  centers_of_keys: Callable[[np.ndarray], np.ndarray]):
         self.spec = spec
         self.n = n
         self.mode = mode  # "quantized" | "point" | "markov"
         self.member_stats = member_stats
+        self._keys_of = keys_of
+        self._centers_of_keys = centers_of_keys
+        self._member_size_rows = member_size_rows
         row_log2 = np.fromiter(map(math.log2, size_values), float, count=len(size_values))
-        self.member_log2_sizes = row_log2[member_size_rows]
-        # one stable sort: classes in key order, member ids ascending inside
-        members, bounds, member_class = group_rows(member_keys)
+        # one stable sort: classes in key order, member ids ascending inside;
+        # the member keys live only for it
+        members, bounds, member_class = group_rows(_by_blocks(keys_of, member_stats))
         grouped_rows = member_size_rows[members]
         table = np.array(size_values, dtype=object)
         grouped_sizes = table[grouped_rows]
         class_rows = grouped_rows[bounds[:-1]]
+        del grouped_rows  # each temporary goes once consumed: a lower build peak
         merged = np.flatnonzero(np.diff(bounds) > 1)
         if len(merged):
             sums = np.add.reduceat(grouped_sizes, bounds[:-1])[merged]
@@ -405,19 +442,41 @@ class TypeIndex:
         rank_of_row[used] = np.concatenate(([0], np.cumsum(steps)))
         order = np.argsort(rank_of_row[class_rows], kind="stable")
         # renumber the classes in that order and move their member runs along
-        class_rows = class_rows[order]
-        self.sizes = table[class_rows].tolist()
-        self.log2_sizes = row_log2[class_rows]
+        self._table = table
+        self._row_log2 = row_log2
+        self._class_rows = class_rows[order]
         counts = np.diff(bounds)[order]
-        self.bounds = np.concatenate(([0], np.cumsum(counts)))
-        gather = np.repeat(bounds[order] - self.bounds[:-1], counts) + np.arange(len(members))
+        self.bounds = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, dtype=np.int32, out=self.bounds[1:])
+        gather = np.repeat(bounds[order] - self.bounds[:-1], counts)
+        gather += np.arange(len(members), dtype=np.int32)
         self.members = members[gather]
+        del members
         self.grouped_sizes = grouped_sizes[gather]
-        slot = np.empty(len(order), dtype=np.int64)
-        slot[order] = np.arange(len(order))
+        del grouped_sizes, gather
+        slot = np.empty(len(order), dtype=np.int32)
+        slot[order] = np.arange(len(order), dtype=np.int32)
         self.member_class = slot[member_class]
-        self.keys = member_keys[self.members[self.bounds[:-1]]]
-        self.centers = np.asarray(centers_of_keys(self.keys), dtype=float)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return _by_blocks(self._keys_of, self.member_stats[self.members[self.bounds[:-1]]])
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return np.asarray(self._centers_of_keys(self.keys), dtype=float)
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        return self._table[self._class_rows].tolist()
+
+    @cached_property
+    def log2_sizes(self) -> np.ndarray:
+        return self._row_log2[self._class_rows]
+
+    @cached_property
+    def member_log2_sizes(self) -> np.ndarray:
+        return self._row_log2[self._member_size_rows]
 
     @property
     def alphabet_size(self) -> int:
@@ -430,12 +489,12 @@ class TypeIndex:
     @cached_property
     def classes(self) -> tuple[TypeClass, ...]:
         columns = self.columns
-        return tuple(TypeClass(columns, c) for c in range(len(self.sizes)))
+        return tuple(TypeClass(columns, c) for c in range(len(self.bounds) - 1))
 
     def class_sums(self, log2_weights: np.ndarray) -> list[float]:
         """Per-class sums of 2^w over per-member log2 weights w."""
         return np.bincount(self.member_class, weights=np.exp2(log2_weights),
-                           minlength=len(self.sizes)).tolist()
+                           minlength=len(self.bounds) - 1).tolist()
 
     def total_size(self) -> int:
         return sum(self.sizes)
@@ -487,10 +546,19 @@ class TypeIndex:
         return "\n".join(lines) + "\n"
 
 
+def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """A row-wise ``fn`` applied to ``KEY_BLOCK`` rows at a time, so that its
+    temporaries stay small; numpy's einsum and elementwise ops give each row
+    the same bits in a block as in the whole array."""
+    return np.concatenate([fn(rows[lo:lo + KEY_BLOCK]) for lo in range(0, len(rows), KEY_BLOCK)])
+
+
 def check_composition_budget(n: int, m: int, budget: int | None) -> int:
     budget = DEFAULT_COMPOSITION_BUDGET if budget is None else budget
     needed = composition_count(n, m)
     if needed > budget:
         raise BudgetError("composition enumeration", needed, budget,
                           hint="raise the composition budget")
+    if needed > MAX_MEMBERS:
+        raise BudgetError("composition enumeration", needed, budget, hint=ID_LIMIT_HINT)
     return needed

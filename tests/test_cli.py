@@ -295,6 +295,24 @@ class TestEncodeDecodeCommands:
         assert f"requires {needed} items" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
 
+    @pytest.mark.parametrize("spec_file, mode, header, n, budget", [
+        ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), 31, "--budget-paths"),
+        ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), 2 ** 31 - 1,
+         "--budget-compositions"),
+    ], ids=["markov", "quantized"])
+    def test_forged_n_past_int32_ids_exits_4(self, workdir, capsys, spec_file, mode, header,
+                                             n, budget):
+        # 2^31 members: refused whatever the budget, before any enumeration
+        spec = workdir / spec_file
+        cont = workdir / "forged.tsz"
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
+            n=n, codeword=Codeword("101"), **header)))
+        assert main(["decode", "--spec", str(spec), "--mode", mode, budget, str(2 ** 40),
+                     str(cont), str(workdir / "never.txt")]) == 4
+        assert "member ids are int32" in capsys.readouterr().err
+        assert not (workdir / "never.txt").exists()
+
     @pytest.mark.parametrize("spec_file, mode, header", [
         ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1)),
         ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None)),

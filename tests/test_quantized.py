@@ -99,15 +99,18 @@ class TestCompositions:
 
     def test_multinomials_align_with_enumeration(self):
         assert multinomial((2, 3, 1)) == 60
-        for m in range(1, 6):
-            for n in range(9):
-                comps = composition_array(n, m)
-                values, rows = multiset_sizes(comps)
-                sizes = [values[r] for r in rows.tolist()]
-                assert sizes == [multinomial(c) for c in comps.tolist()]
-                assert sum(sizes) == m ** n
-                # one row per count multiset
-                assert len(values) == len({tuple(sorted(c)) for c in comps.tolist()})
+        cases = [(m, n) for m in range(1, 6) for n in range(9)]
+        # blocks whose least k is above 0, each first size carried from the
+        # block before, and for m = 4 several a_3 each starting afresh
+        cases += [(m, n) for m in (2, 3, 4) for n in (17, 30, 33)]
+        for m, n in cases:
+            comps = composition_array(n, m)
+            values, rows = multiset_sizes(comps)
+            sizes = [values[r] for r in rows.tolist()]
+            assert sizes == [multinomial(c) for c in comps.tolist()]
+            assert sum(sizes) == m ** n
+            # one row per count multiset
+            assert len(values) == len({tuple(sorted(c)) for c in comps.tolist()})
         values, rows = multiset_sizes(composition_array(1024, 3))
         assert sum(values[r] for r in rows.tolist()) == 3 ** 1024
 

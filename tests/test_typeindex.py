@@ -6,7 +6,9 @@ against definitions computed here directly from the sequences: the rank is
 a bijection onto [0, m^n), classes occupy contiguous rank ranges in
 ascending (size, key) order, every class holds exactly the sequences with
 its key, and class masses equal the per-sequence probability sums. The row
-grouping under the index is checked against sorted Python tuples.
+grouping under the index is checked against sorted Python tuples, and the
+columns the index derives on first read against the formulas that built
+them eagerly.
 """
 
 import gc
@@ -18,18 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tscode.typeclass
 from tscode.codec import ClassOrdering
+from tscode.errors import BudgetError
 from tscode.family import FamilySpec, evaluate, suffstat
 from tscode.markov import (
     MarkovFamilySpec,
+    _all_path_stats,
     markov_class_masses,
     markov_type_index,
     transition_matrix,
 )
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_class_of, point_type_index
-from tscode.quantized import Grid, build_type_index
+from tscode.quantized import Grid, build_type_index, type_size_of_sequence
 from tscode.rates import SourceSpec, class_masses
-from tscode.typeclass import group_rows
+from tscode.typeclass import check_composition_budget, composition_array, group_rows, multinomial
 
 MAX_N = {2: 7, 3: 7, 4: 5}
 
@@ -173,6 +178,88 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
         assert index.class_of_sequence(xs).size >= 1
     del index, ordering, indexes
     assert gc.collect() == 0
+
+
+LAZY_COLUMNS = ("keys", "centers", "sizes", "log2_sizes", "member_log2_sizes")
+
+
+@pytest.mark.parametrize("case", ["ternary quantized", "sqrt2 point", "sqrt2 quantized",
+                                  "rotation markov"])
+def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
+    # blocks of 7 rows, so that keys are built over several blocks and a
+    # ragged last one, on the members and on the first member of each class
+    monkeypatch.setattr(tscode.typeclass, "KEY_BLOCK", 7)
+    rng = np.random.default_rng(3)
+    if case == "rotation markov":
+        steps = [(0, 0), (1, 0), (0, 1)]
+        mspec = MarkovFamilySpec.create([steps[(b - a) % 3] for a in range(3) for b in range(3)],
+                                        rho_max=2.0, x0=1)
+        n = 8
+        grid = Grid.create(n=n, s=1.0, d=2)
+        index = markov_type_index(mspec, n, grid)
+        member_keys = grid.cell_index(_all_path_stats(mspec, n) / n)
+        centers_of = grid.center_of_index
+        member_sizes = [1] * 3 ** n
+    else:
+        spec = ternary if case.startswith("ternary") else sqrt2_family
+        n = 40 if spec is ternary else 64
+        comps = composition_array(n, 3)
+        if case.endswith("point"):
+            lmap = derive_lattice(sqrt2_statmap)
+            index = point_type_index(spec, lmap, n)
+            member_keys = comps @ lmap.L_array
+
+            def centers_of(keys):
+                return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
+        else:
+            grid = Grid.create(n=n, s=1.0, d=spec.d)
+            index = build_type_index(spec, n, grid)
+            member_keys = grid.cell_index(np.einsum("ij,jk->ik", comps.astype(float),
+                                                    spec.tau_array) / n)
+            centers_of = grid.center_of_index
+        member_sizes = [multinomial(c) for c in comps.tolist()]
+    # the codec reads none of them
+    ordering = ClassOrdering(index)
+    for _ in range(20):
+        xs = tuple(int(x) for x in rng.integers(1, 4, size=n))
+        assert ordering.decode(ordering.encode(xs)) == xs
+    assert not set(LAZY_COLUMNS) & set(vars(index))
+    if index.mode == "quantized":
+        type_size_of_sequence(index, xs)
+        assert not {"keys", "centers"} & set(vars(index))
+    # each equals the formula that used to build it eagerly
+    bounds = index.bounds.tolist()
+    firsts = index.members[bounds[:-1]]
+    assert np.array_equal(index.keys, member_keys[firsts])
+    assert index.centers.tobytes() == centers_of(member_keys[firsts]).tobytes()
+    sizes = [sum(member_sizes[i] for i in index.members[lo:hi].tolist())
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert index.sizes == sizes
+    assert index.log2_sizes.tolist() == [math.log2(size) for size in sizes]
+    assert index.member_log2_sizes.tolist() == [math.log2(size) for size in member_sizes]
+    if case == "sqrt2 quantized":
+        assert max(np.diff(bounds)) > 1  # classes of several compositions
+
+
+def test_member_ids_stay_int32_whatever_the_budget(bernoulli, ternary, sqrt2_family,
+                                                    sqrt2_statmap, flip_markov):
+    # refused before any enumeration, so nothing is allocated here
+    budget = 2 ** 40
+    assert check_composition_budget(2 ** 31 - 2, 2, budget) == 2 ** 31 - 1
+    lmap = derive_lattice(sqrt2_statmap)
+    n = 65535  # C(n + 2, 2) = 2^31 + 2^15 ternary compositions
+    calls = [
+        lambda: check_composition_budget(2 ** 31 - 1, 2, budget),
+        lambda: build_type_index(bernoulli, 2 ** 31 - 1,
+                                 Grid.create(n=2 ** 31 - 1, s=1.0, d=1), budget=budget),
+        lambda: build_type_index(ternary, n, Grid.create(n=n, s=1.0, d=2), budget=budget),
+        lambda: point_type_index(sqrt2_family, lmap, n, budget=budget),
+        lambda: markov_type_index(flip_markov, 31, Grid.create(n=31, s=1.0, d=1),
+                                  budget_paths=budget),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetError, match=r"budget is 1099511627776 \(member ids are int32"):
+            call()
 
 
 def _check_grouping(rows):
