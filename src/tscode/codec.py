@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -80,21 +79,15 @@ class ClassOrdering:
 
     def __init__(self, index):
         self.index = index
-        self.n = index.n
-        self.alphabet_size = index.alphabet_size
         sizes = index.grouped_sizes
         blocks = np.add.reduceat(sizes, np.arange(0, len(sizes), BLOCK)).tolist()
         self.marks = list(accumulate(blocks, initial=0))
         self.total = self.marks[-1]
 
+    # tsbench reads it; ROADMAP item 5 removes it after item 3
     @property
     def classes(self) -> tuple[TypeClass, ...]:
         return self.index.classes
-
-    @cached_property
-    def offsets(self) -> list[int]:
-        """Rank of the first sequence of each class, then the total."""
-        return list(accumulate(self.index.sizes, initial=0))
 
     def rank(self, xs) -> int:
         """Exact rank in [0, |X|^n); a bijection onto that range."""
@@ -124,6 +117,6 @@ class ClassOrdering:
         idx = index_of_string(bits)
         if idx >= self.total:
             raise ContainerError(
-                f"codeword index {idx} is outside the {self.total} sequences at n={self.n}"
+                f"codeword index {idx} is outside the {self.total} sequences at n={self.index.n}"
             )
         return self.unrank(idx)

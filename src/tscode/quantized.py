@@ -72,11 +72,12 @@ class Grid:
         distance from the anchor).
         """
         t = np.asarray(tau, dtype=float)
-        v = (t - self.anchor_array) / self.side - 0.5
-        nearest = np.rint(v)
-        snap = np.abs(v - nearest) <= _TIE_RTOL * np.maximum(1.0, np.abs(v))
-        k = np.ceil(v)
-        k = np.where(snap, nearest, k)
+        # an overflow to inf or nan fails the range check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = (t - self.anchor_array) / self.side - 0.5
+            nearest = np.rint(v)
+            snap = np.abs(v - nearest) <= _TIE_RTOL * np.maximum(1.0, np.abs(v))
+            k = np.where(snap, nearest, np.ceil(v))
         if not np.all(np.abs(k) < 2.0 ** 63):
             raise SpecError(f"cell index out of int64 range on the grid with side "
                             f"{self.side!r} and anchor {self.anchor!r}")
@@ -113,7 +114,7 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
 
 def type_size_of_sequence(index: TypeIndex, xs) -> int:
     """Exact size of the type class containing the sequence."""
-    return index.sizes[index.member_class[index._member(xs)[1]]]
+    return index.sizes[index.class_of(xs)]
 
 
 def _cell_mle(spec: FamilySpec, grid: Grid, tau) -> np.ndarray:

@@ -75,7 +75,8 @@ def class_masses(source: SourceSpec, index: TypeIndex) -> list[float]:
         loglik = index.member_stats @ theta - index.n * source.family.psi(theta)
     else:
         loglik = index.member_stats @ np.log2(evaluate(source.family, theta).pmf)
-    return index.class_sums(index.member_log2_sizes + loglik)
+    return np.bincount(index.member_class, weights=np.exp2(index.member_log2_sizes + loglik),
+                       minlength=len(index.bounds) - 1).tolist()
 
 
 def overflow_prob(source: SourceSpec, index: TypeIndex, gamma: float) -> float:
@@ -269,8 +270,7 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.01)
     emp = tail_from[np.searchsorted(zs, grid, side="right")]
     gauss = np.array([gaussian_Q(z) for z in grid.tolist()])
-    # a NumPy scalar, whose repr check_report.txt has always carried
-    return np.abs(emp - gauss).max()
+    return float(np.abs(emp - gauss).max())
 
 
 def _center_loglik(spec: FamilySpec, index: TypeIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +278,7 @@ def _center_loglik(spec: FamilySpec, index: TypeIndex) -> tuple[np.ndarray, np.n
     log-likelihood n (<theta_c, stat> - psi(theta_c)) of its sequences at the
     ML parameter theta_c of its class's center (one batch over the centers)."""
     n = index.n
-    stats = (index.member_stats.astype(float) @ spec.tau_array) / n
+    stats = np.einsum("ij,jk->ik", index.member_stats.astype(float), spec.tau_array) / n
     theta_c, psi_c = mle_batch(spec, index.centers)
     cls = index.member_class
     return stats, n * (np.einsum("ij,ij->i", theta_c[cls], stats) - psi_c[cls])

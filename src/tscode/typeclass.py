@@ -334,11 +334,9 @@ class ClassColumns:
     holds no reference to the index, so views cached on the index form no
     reference cycle."""
 
-    __slots__ = ("keys", "centers", "sizes", "members", "bounds")
+    __slots__ = ("sizes", "members", "bounds")
 
     def __init__(self, index: "TypeIndex"):
-        self.keys = index.keys
-        self.centers = index.centers
         self.sizes = index.sizes
         self.members = index.members
         self.bounds = index.bounds
@@ -347,29 +345,21 @@ class ClassColumns:
 class TypeClass:
     """One class of a TypeIndex, read through the index's columns."""
 
-    __slots__ = ("columns", "id")
+    __slots__ = ("_columns", "id")
 
     def __init__(self, columns: ClassColumns, cid: int):
-        self.columns = columns
+        self._columns = columns
         self.id = cid
 
     @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(self.columns.keys[self.id].tolist())
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(self.columns.centers[self.id].tolist())
-
-    @property
     def size(self) -> int:
-        return self.columns.sizes[self.id]
+        return self._columns.sizes[self.id]
 
     @property
     def members(self) -> np.ndarray:
         """Member ids of the class, ascending."""
-        bounds = self.columns.bounds
-        return self.columns.members[bounds[self.id]:bounds[self.id + 1]]
+        bounds = self._columns.bounds
+        return self._columns.members[bounds[self.id]:bounds[self.id + 1]]
 
 
 class TypeIndex:
@@ -385,14 +375,13 @@ class TypeIndex:
     and the table rows are int32; the composition and path budgets refuse an
     index of 2^31 members or more, whatever their value.
 
-    The columns that only the rate analysis and the class views read are
-    derived on first read and then kept: per class, ``keys`` (K, kdim),
-    ``centers`` (K, d), exact ``sizes`` (Python ints) and ``log2_sizes``
-    (math.log2 of each exact size), and per member ``member_log2_sizes``
-    (log2 of the member's exact sequence count). Keys come from the stats of
-    each class's first member through ``keys_of``, a row-wise map from
-    member stats to class keys, and centers from the keys through
-    ``centers_of_keys``.
+    The columns that the codec does not read are derived on first read and
+    then kept: per class, ``keys`` (K, kdim), ``centers`` (K, d), exact
+    ``sizes`` (Python ints) and ``log2_sizes`` (math.log2 of each exact
+    size), and per member ``member_log2_sizes`` (log2 of the member's exact
+    sequence count). Keys come from the stats of each class's first member
+    through ``keys_of``, a row-wise map from member stats to class keys, and
+    centers from the keys through ``centers_of_keys``.
 
     Member sizes arrive as a table of exact sizes, ``size_values`` (one per
     count multiset, or the one row ``[1]`` for Markov paths), and each
@@ -482,22 +471,11 @@ class TypeIndex:
     def alphabet_size(self) -> int:
         return self.spec.alphabet.size
 
-    @cached_property
-    def columns(self) -> ClassColumns:
-        return ClassColumns(self)
-
+    # tsbench reads it; ROADMAP item 5 removes it after item 3
     @cached_property
     def classes(self) -> tuple[TypeClass, ...]:
-        columns = self.columns
+        columns = ClassColumns(self)
         return tuple(TypeClass(columns, c) for c in range(len(self.bounds) - 1))
-
-    def class_sums(self, log2_weights: np.ndarray) -> list[float]:
-        """Per-class sums of 2^w over per-member log2 weights w."""
-        return np.bincount(self.member_class, weights=np.exp2(log2_weights),
-                           minlength=len(self.bounds) - 1).tolist()
-
-    def total_size(self) -> int:
-        return sum(self.sizes)
 
     def _member(self, xs) -> tuple[np.ndarray, int]:
         """The symbol indices of a length-n sequence and the member holding it."""
@@ -520,29 +498,26 @@ class TypeIndex:
         counts = self.member_stats[member].tolist()
         return pos, rank_in_composition(counts, idx, self.grouped_sizes[pos])
 
-    def member_of(self, xs) -> tuple[int, int]:
-        """The member holding a length-n sequence, and the sequence's rank in it."""
-        pos, within = self.locate(xs)
-        return int(self.members[pos]), within
-
     def sequence_of(self, member: int, within: int, size: int | None = None) -> tuple[int, ...]:
-        """Inverse of member_of: the 1-based sequence at rank ``within``;
-        ``size`` is the member's exact sequence count, when the caller holds it."""
+        """The 1-based sequence at rank ``within`` in a member, the inverse of
+        ``locate``; ``size`` is the member's exact sequence count, when the
+        caller holds it."""
         if self.mode == "markov":
             digits = unpack_path(self.alphabet_size, member, self.n)
         else:
             digits = unrank_in_composition(self.member_stats[member].tolist(), within, size)
         return tuple(y + 1 for y in digits)
 
-    def class_of_sequence(self, xs) -> TypeClass:
-        return TypeClass(self.columns, int(self.member_class[self._member(xs)[1]]))
+    def class_of(self, xs) -> int:
+        """The id of the class holding a length-n sequence; no rank is computed."""
+        return int(self.member_class[self._member(xs)[1]])
 
     def export_table(self) -> str:
         """One row per class: center coordinates, member count, exact size."""
         lines = ["# center... members size"]
-        for cls in self.classes:
-            center = " ".join(repr(c) for c in cls.center)
-            lines.append(f"{center} {len(cls.members)} {cls.size}")
+        for center, count, size in zip(self.centers.tolist(), np.diff(self.bounds).tolist(),
+                                       self.sizes):
+            lines.append(f"{' '.join(map(repr, center))} {count} {size}")
         return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ below the oracle, and the count of differing cells is printed, not asserted.
 import math
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -152,9 +152,10 @@ def test_criterion_2_codebook_formula_oracle_equivalence():
             suffix = [0.0] * (total + 1)
             for i in range(total - 1, -1, -1):
                 suffix[i] = suffix[i + 1] + mass_by_rank[i]
-            classes = ordering.classes
-            cuts = [ordering.offsets[j] for j in range(1, len(classes) + 1)
-                    if j == len(classes) or classes[j - 1].size != classes[j].size]
+            sizes = ordering.index.sizes
+            starts = list(accumulate(sizes, initial=0))
+            cuts = [starts[j] for j in range(1, len(sizes) + 1)
+                    if j == len(sizes) or sizes[j - 1] != sizes[j]]
 
             def p_len_at_least(k):
                 return suffix[min(2 ** k - 1, total)]
@@ -318,7 +319,7 @@ def test_criterion_8_exponential_family_numerics():
         # exact partition identities at desk scale
         for n in (4, 6):
             idx = build_type_index(fam, n, Grid.create(n=n, s=1.0, d=fam.d))
-            assert idx.total_size() == fam.alphabet.size ** n
+            assert sum(idx.sizes) == fam.alphabet.size ** n
     elapsed = time.time() - start
     ok = (worst["grad"] <= 1e-6 and worst["hess"] <= 1e-8 and
           worst["entropy"] <= 1e-12 and worst["norm"] <= 1e-12 and
@@ -362,7 +363,7 @@ def test_criterion_9_markov():
     v_rel = abs(varentropy_rate(flip, theta) - extrapolated) / extrapolated
 
     idx = markov_type_index(flip, n, Grid.create(n=n, s=1.0, d=1))
-    partition_exact = idx.total_size() == 2 ** n
+    partition_exact = sum(idx.sizes) == 2 ** n
     ordering = ClassOrdering(idx)
     round_trip_failures = sum(
         1 for xs_seq in product((1, 2), repeat=n)

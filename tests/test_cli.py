@@ -164,6 +164,11 @@ class TestContainerFormat:
             containerfmt.unpack(bytes(data))
 
 
+def _cli_env():
+    """The environment of a child Python that imports this tscode."""
+    return {**os.environ, "PYTHONPATH": str(Path(tscode.__file__).resolve().parent.parent)}
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     (tmp_path / "bern.spec").write_text(BERN_SPEC)
@@ -376,6 +381,17 @@ class TestGridValidation:
         assert message in capsys.readouterr().err
         assert not cont.exists()
 
+    def test_rate_on_a_far_anchor_prints_only_the_error(self, workdir):
+        # the cell index overflows to inf; the int64 range check reports it,
+        # and numpy prints no warning of its own
+        proc = subprocess.run([sys.executable, "-m", "tscode.cli", "rate",
+                               "--spec", str(workdir / "bern.spec"), "--n", "3",
+                               "--anchor", "1e308"], env=_cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "invariant error: cell index out of int64 range on the grid with side "
+            "0.3333333333333333 and anchor (1e+308,)"]
+
     def test_rate_refuses_an_infinite_anchor(self, workdir, capsys):
         assert main(["rate", "--spec", str(workdir / "tern.spec"), "--n", "4",
                      "--anchor", "inf,0"]) == 2
@@ -492,7 +508,10 @@ class TestRateFitCheckCommands:
                      "--out", str(outdir)]) == 3
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.out and "invariant error" in captured.err
-        assert "n=64" in (outdir / "check_report.txt").read_text()
+        report = (outdir / "check_report.txt").read_text()
+        assert "n=64" in report
+        # the deviation is a plain float, written without a NumPy repr
+        assert "normality n=8 dev=0." in report and "np.float64" not in report
 
     def test_check_refuses_a_markov_spec(self, workdir, capsys):
         assert main(["check", "--spec", str(workdir / "flip.spec"), "--n-grid", "4,8"]) == 3
@@ -558,7 +577,5 @@ class TestRateFitCheckCommands:
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(tscode.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, tscode.cli; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True)

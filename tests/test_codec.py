@@ -120,6 +120,11 @@ def _ordering(fam, n, s=1.0):
     return ClassOrdering(build_type_index(fam, n, Grid.create(n=n, s=s, d=fam.d)))
 
 
+def _keys(index):
+    """The class keys in class id order, as tuples."""
+    return [tuple(index.keys[c]) for c in range(len(index.sizes))]
+
+
 class TestRankUnrank:
     def test_n1_is_permutation(self, ternary):
         o = _ordering(ternary, 1)
@@ -151,9 +156,9 @@ class TestRankUnrank:
     def test_extreme_ranks(self, bernoulli):
         o = _ordering(bernoulli, 6)
         first = o.unrank(0)
-        assert o.index.class_of_sequence(first).size == o.classes[0].size
+        assert o.index.sizes[o.index.class_of(first)] == o.index.sizes[0]
         last = o.unrank(2 ** 6 - 1)
-        assert o.index.class_of_sequence(last).size == o.classes[-1].size
+        assert o.index.sizes[o.index.class_of(last)] == o.index.sizes[-1]
 
     def test_out_of_range(self, bernoulli):
         o = _ordering(bernoulli, 4)
@@ -183,7 +188,7 @@ class TestEncodeDecode:
     def test_size_monotone_lengths(self, bernoulli):
         for n in range(1, 9):
             o = _ordering(bernoulli, n)
-            pairs = [(o.index.class_of_sequence(xs).size, o.encode(xs).length)
+            pairs = [(o.index.sizes[o.index.class_of(xs)], o.encode(xs).length)
                      for xs in product((1, 2), repeat=n)]
             sizes = sorted({s for s, _ in pairs})
             max_len = {s: max(l for t, l in pairs if t == s) for s in sizes}
@@ -232,25 +237,20 @@ class TestOrderingDeterminism:
     def test_two_constructions_identical(self, ternary):
         idx = build_type_index(ternary, 6, Grid.create(n=6, s=1.0, d=2))
         o1, o2 = ClassOrdering(idx), ClassOrdering(idx)
-        assert [c.key for c in o1.classes] == [c.key for c in o2.classes]
-        assert o1.offsets == o2.offsets
+        assert _keys(o1.index) == _keys(o2.index)
+        assert (list(accumulate(o1.index.sizes, initial=0))
+                == list(accumulate(o2.index.sizes, initial=0)))
         idx2 = build_type_index(ternary, 6, Grid.create(n=6, s=1.0, d=2))
         o3 = ClassOrdering(idx2)
-        assert [c.key for c in o1.classes] == [c.key for c in o3.classes]
+        assert _keys(o1.index) == _keys(o3.index)
         for xs in [(1, 2, 3, 1, 2, 3), (3, 3, 3, 3, 3, 3), (1, 1, 2, 2, 3, 3)]:
             assert o1.rank(xs) == o3.rank(xs)
 
     def test_sizes_nondecreasing_with_key_tiebreak(self, ternary):
-        o = _ordering(ternary, 7)
-        for a, b in zip(o.classes, o.classes[1:]):
-            assert (a.size, a.key) < (b.size, b.key)
-
-    def test_offsets_cumulative(self, ternary):
-        o = _ordering(ternary, 7)
-        assert o.offsets[0] == 0
-        assert o.offsets[-1] == 3 ** 7
-        for i, cls in enumerate(o.classes):
-            assert o.offsets[i + 1] - o.offsets[i] == cls.size
+        index = _ordering(ternary, 7).index
+        pairs = list(zip(index.sizes, _keys(index)))
+        for a, b in zip(pairs, pairs[1:]):
+            assert a < b
 
 
 @pytest.fixture(scope="module")
@@ -293,13 +293,14 @@ class TestCheckpoints:
         assert ordering.rank(xs) == k
 
     @pytest.mark.parametrize("mode", ["quantized", "point", "markov"])
-    def test_ends_and_offsets_match_the_full_table(self, checkpointed, mode):
+    def test_ends_and_class_starts_match_the_full_table(self, checkpointed, mode):
         ordering, prefix = checkpointed[mode]
         index = ordering.index
         assert ordering.total == prefix[-1] == index.alphabet_size ** index.n
         starts = range(0, len(index.members), BLOCK)
         assert ordering.marks == [prefix[p] for p in starts] + [prefix[-1]]
-        assert ordering.offsets == [prefix[b] for b in index.bounds.tolist()]
+        assert (list(accumulate(index.sizes, initial=0))
+                == [prefix[b] for b in index.bounds.tolist()])
         last = len(index.members) - 1
         for k, pos, within in ((0, 0, 0), (ordering.total - 1, last, index.grouped_sizes[last] - 1)):
             xs = index.sequence_of(int(index.members[pos]), within)

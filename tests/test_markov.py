@@ -191,7 +191,7 @@ def _exhaustive_stats(mspec, n):
 class TestMarkovTypeIndex:
     def test_n1_classes_by_first_step(self, flip_markov):
         idx = markov_type_index(flip_markov, 1, Grid.create(n=1, s=1.0, d=1))
-        assert idx.total_size() == 2
+        assert sum(idx.sizes) == 2
         assert len(idx.classes) == 2  # stay vs flip from x0
 
     def test_flip_counts_are_binomial(self, flip_markov):
@@ -202,7 +202,7 @@ class TestMarkovTypeIndex:
 
     def test_partition(self, circulant3):
         idx = markov_type_index(circulant3, 6, Grid.create(n=6, s=1.0, d=2))
-        assert idx.total_size() == 3 ** 6
+        assert sum(idx.sizes) == 3 ** 6
 
     def test_budget_error_suggests_montecarlo(self, flip_markov):
         with pytest.raises(BudgetError, match="--budget-paths"):
@@ -230,7 +230,7 @@ class TestMarkovTypeIndex:
             for x in xs:
                 direct += math.log2(p[prev - 1, x - 1])
                 prev = x
-            stat = idx.member_stats[idx.member_of(xs)[0]]
+            stat = idx.member_stats[idx.members[idx.locate(xs)[0]]]
             closed = float(stat @ th) - n * circulant3.psi(th)
             assert abs(direct - closed) <= 1e-9 * n
 
@@ -252,7 +252,7 @@ class TestMarkovCodec:
         n = 8
         idx = markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))
         o = ClassOrdering(idx)
-        pairs = [(o.index.class_of_sequence(xs).size, o.encode(xs).length)
+        pairs = [(o.index.sizes[o.index.class_of(xs)], o.encode(xs).length)
                  for xs in product((1, 2), repeat=n)]
         for s1, l1 in pairs:
             for s2, l2 in pairs:

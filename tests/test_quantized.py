@@ -137,18 +137,18 @@ class TestBuildTypeIndex:
     def test_per_composition_grid_binomials(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
         assert sorted(c.size for c in idx.classes) == [1, 1, 4, 4, 6]
-        assert idx.total_size() == 16
+        assert sum(idx.sizes) == 16
 
     def test_ternary_per_composition(self, ternary):
         idx = build_type_index(ternary, 3, Grid.create(n=3, s=1.0, d=2))
         assert len(idx.classes) == 10
-        assert idx.total_size() == 27
+        assert sum(idx.sizes) == 27
 
     def test_partition_sums_to_total(self, ternary):
         for n in (2, 5, 8):
             for s in (0.5, 1.0, 2.3):
                 idx = build_type_index(ternary, n, Grid.create(n=n, s=s, d=2))
-                assert idx.total_size() == 3 ** n
+                assert sum(idx.sizes) == 3 ** n
 
     def test_brute_force_oracle(self, bernoulli, ternary):
         # group all sequences directly by the cuboid of their statistic
@@ -161,7 +161,7 @@ class TestBuildTypeIndex:
                     for xs in product(range(1, m + 1), repeat=n):
                         key = tuple(g.cell_index(suffstat(fam, xs)))
                         direct[key] = direct.get(key, 0) + 1
-                    assert {c.key: c.size for c in idx.classes} == direct
+                    assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == direct
 
     def test_brute_force_oracle_full_range(self, bernoulli, ternary):
         # the same check at the largest stated scale (n = 10), with the
@@ -179,7 +179,7 @@ class TestBuildTypeIndex:
             uniq, counts = np.unique(keys, axis=0, return_counts=True)
             direct = {tuple(int(v) for v in row): int(c)
                       for row, c in zip(uniq, counts)}
-            assert {c.key: c.size for c in idx.classes} == direct
+            assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == direct
 
     def test_class_keys_match_the_matmul_statistics(self, ternary, sqrt2_family):
         # the builder's BLAS-free product gives every composition the cell
@@ -240,7 +240,7 @@ class TestTypeSizeOfSequence:
         monkeypatch.setattr(tscode.typeclass, "rank_in_composition", fail)
         for xs, key in zip(seqs, keys):
             assert type_size_of_sequence(idx, xs) == sizes[key]
-            assert idx.class_of_sequence(xs).size == sizes[key]
+            assert idx.sizes[idx.class_of(xs)] == sizes[key]
         assert max(sizes.values()) > math.comb(6, 2) * math.comb(4, 2)  # merged classes
 
 
@@ -297,8 +297,8 @@ class TestBoundFunctions:
         def worst_excess(n, c):
             g = Grid.create(n=n, s=1.0, d=1)
             idx = build_type_index(fam, n, g)
-            return max(math.log2(cls.size) - n * f_of(fam, g, np.asarray(cls.center), c=c)
-                       for cls in idx.classes)
+            return max(math.log2(size) - n * f_of(fam, g, idx.centers[k], c=c)
+                       for k, size in enumerate(idx.sizes))
 
         cstar = worst_excess(8, 0.0)
         for n in (16, 32, 64):

@@ -36,7 +36,7 @@ def sequence_masses_and_lengths(ordering, spec, theta_star):
     """Independent oracle data: per-sequence probability (direct product of
     symbol probabilities) and codeword length, for every sequence."""
     ev = evaluate(spec, np.asarray(theta_star))
-    m, n = spec.alphabet.size, ordering.n
+    m, n = spec.alphabet.size, ordering.index.n
     out = []
     for xs in product(range(1, m + 1), repeat=n):
         mass = 1.0
@@ -418,6 +418,7 @@ class TestNormality:
         a = normality_check(src, 64, 10_000, seed=7)
         b = normality_check(src, 64, 10_000, seed=7)
         assert a == b
+        assert type(a) is float  # a plain float, so reports print no NumPy repr
 
     def test_seed_changes_statistic(self, bernoulli):
         src = SourceSpec(bernoulli, theta_for_p1(0.3))

@@ -13,7 +13,7 @@ them eagerly.
 
 import gc
 import math
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -49,18 +49,19 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
     pairs = list(zip(index.sizes, map(tuple, index.keys.tolist())))
     assert all(a < b for a, b in zip(pairs, pairs[1:]))
     assert index.log2_sizes.tolist() == [math.log2(size) for size in index.sizes]
+    starts = list(accumulate(index.sizes, initial=0))
     ranks = []
     exhaustive = [[] for _ in index.sizes]
     for xs in seqs:
         r = ordering.rank(xs)
         ranks.append(r)
         assert ordering.unrank(r) == xs
-        cls = index.class_of_sequence(xs)
-        assert cls.key == key_of(xs)
-        assert ordering.offsets[cls.id] <= r < ordering.offsets[cls.id + 1]
-        exhaustive[cls.id].append(prob_of(xs))
+        c = index.class_of(xs)
+        assert tuple(index.keys[c]) == key_of(xs)
+        assert starts[c] <= r < starts[c + 1]
+        exhaustive[c].append(prob_of(xs))
     assert sorted(ranks) == list(range(m ** n)) == list(range(ordering.total))
-    assert pairs == [(c.size, c.key) for c in ordering.classes]
+    assert pairs == [(size, tuple(index.keys[c])) for c, size in enumerate(index.sizes)]
     assert [len(probs) for probs in exhaustive] == index.sizes
     for mass, probs in zip(masses, exhaustive):
         assert abs(mass - math.fsum(probs)) <= 1e-12
@@ -175,7 +176,7 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
         assert ordering.decode(ordering.encode(xs)) == xs
         # the cached class views must not hold the index that caches them
         assert len(index.classes) == len(ordering.classes) == len(index.sizes)
-        assert index.class_of_sequence(xs).size >= 1
+        assert index.sizes[index.class_of(xs)] >= 1
     del index, ordering, indexes
     assert gc.collect() == 0
 
@@ -223,10 +224,13 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
     for _ in range(20):
         xs = tuple(int(x) for x in rng.integers(1, 4, size=n))
         assert ordering.decode(ordering.encode(xs)) == xs
+        assert index.class_of(xs) == index.member_class[index.members[index.locate(xs)[0]]]
     assert not set(LAZY_COLUMNS) & set(vars(index))
     if index.mode == "quantized":
         type_size_of_sequence(index, xs)
-        assert not {"keys", "centers"} & set(vars(index))
+    # nor do the class size lookup and the class views
+    assert len(index.classes) == len(ordering.classes)
+    assert not {"keys", "centers"} & set(vars(index))
     # each equals the formula that used to build it eagerly
     bounds = index.bounds.tolist()
     firsts = index.members[bounds[:-1]]
