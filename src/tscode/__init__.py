@@ -24,7 +24,6 @@ from .family import (
 from .markov import (
     MarkovFamilySpec,
     entropy_rate,
-    markov_m_eps,
     markov_type_index,
     stationary_dist,
     transition_matrix,
@@ -39,7 +38,7 @@ from .pointtypes import (
     point_class_of,
     point_type_index,
 )
-from .quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of, type_size_of_sequence
+from .quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of
 from .rates import (
     FitReport,
     RateReport,
@@ -54,7 +53,7 @@ from .rates import (
     overflow_prob,
     third_order_fit,
 )
-from .typeclass import TypeClass, TypeIndex
+from .typeclass import TypeIndex
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -44,13 +44,14 @@ EXIT_CONTAINER = 5
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The checked options of one command; those it does not take are None."""
     spec: ParsedSpec
     mode: str
-    s: float
+    s: float | None
     anchor: tuple[float, ...] | None
     n_list: tuple[int, ...]
-    epsilon: float
-    seed: int
+    epsilon: float | None
+    seed: int | None
     budget_compositions: int | None
     budget_paths: int | None
     out: Path | None
@@ -68,14 +69,16 @@ def _parse_anchor(text: str | None):
     raise SchemaError(f"anchor must be comma-separated finite reals, got {text!r}")
 
 
-def _build_config(args, need_n: bool) -> RunConfig:
+def _build_config(args) -> RunConfig:
+    """Check the options the command takes, reporting every problem at once."""
+    opts = vars(args)
     problems = []
     spec = None
     try:
         spec = parse_spec_file(args.spec)
     except (SchemaError, SpecError) as exc:
         problems.append(str(exc))
-    mode = args.mode
+    mode = opts.get("mode")
     if spec is not None:
         if mode is None:
             mode = "markov" if spec.kind == "markov" else \
@@ -86,41 +89,45 @@ def _build_config(args, need_n: bool) -> RunConfig:
             problems.append(f"mode {mode} cannot use a markov spec file")
         if mode == "point" and spec.kind == "family":
             problems.append("mode point requires basis/coeff rows in the spec file")
-    if args.s <= 0 or not math.isfinite(args.s):
-        problems.append(f"grid scale s must be positive, got {args.s}")
+    s = opts.get("s")
+    if s is not None and (s <= 0 or not math.isfinite(s)):
+        problems.append(f"grid scale s must be positive, got {s}")
     anchor = None
     try:
-        anchor = _parse_anchor(args.anchor)
+        anchor = _parse_anchor(opts.get("anchor"))
     except SchemaError as exc:
         problems.append(str(exc))
     n_list: tuple[int, ...] = ()
-    if getattr(args, "n", None) is not None and getattr(args, "n_grid", None):
+    n, n_grid = opts.get("n"), opts.get("n_grid")
+    if n is not None and n_grid:
         problems.append("give either --n or --n-grid, not both")
-    elif getattr(args, "n", None) is not None:
-        n_list = (args.n,)
-    elif getattr(args, "n_grid", None):
+    elif n is not None:
+        n_list = (n,)
+    elif n_grid:
         try:
-            n_list = tuple(int(v) for v in args.n_grid.split(","))
+            n_list = tuple(int(v) for v in n_grid.split(","))
         except ValueError:
-            problems.append(f"--n-grid must be comma-separated integers, got {args.n_grid!r}")
-    if need_n and not n_list:
-        problems.append("a blocklength is required (--n or --n-grid)")
+            problems.append(f"--n-grid must be comma-separated integers, got {n_grid!r}")
+    if "n_grid" in opts and n is None and not n_grid:
+        flags = "--n or --n-grid" if "n" in opts else "--n-grid"
+        problems.append(f"a blocklength is required ({flags})")
     if n_list and (any(v < 1 for v in n_list) or list(n_list) != sorted(set(n_list))):
         problems.append(f"blocklengths must be positive and strictly increasing: {n_list}")
-    if not (0.0 < args.epsilon < 1.0):
-        problems.append(f"epsilon must be in (0,1), got {args.epsilon}")
+    epsilon = opts.get("epsilon")
+    if epsilon is not None and not (0.0 < epsilon < 1.0):
+        problems.append(f"epsilon must be in (0,1), got {epsilon}")
     for name in ("budget_compositions", "budget_paths"):
-        v = getattr(args, name)
+        v = opts.get(name)
         if v is not None and v < 1:
             problems.append(f"--{name.replace('_', '-')} must be positive")
     if problems:
         raise SchemaError("invalid configuration:\n  " + "\n  ".join(problems))
     return RunConfig(
-        spec=spec, mode=mode, s=args.s, anchor=anchor, n_list=n_list,
-        epsilon=args.epsilon, seed=args.seed,
-        budget_compositions=args.budget_compositions,
-        budget_paths=args.budget_paths,
-        out=Path(args.out) if args.out else None,
+        spec=spec, mode=mode, s=s, anchor=anchor, n_list=n_list,
+        epsilon=epsilon, seed=opts.get("seed"),
+        budget_compositions=opts.get("budget_compositions"),
+        budget_paths=opts.get("budget_paths"),
+        out=Path(opts["out"]) if opts.get("out") else None,
     )
 
 
@@ -193,7 +200,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = _build_config(args, need_n=False)
+    cfg = _build_config(args)
     seq = _read_sequence(Path(args.input))
     codeword = ClassOrdering(_build_index(cfg, len(seq))).encode(seq)
     ms = cfg.spec.markov
@@ -213,7 +220,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = _build_config(args, need_n=False)
+    cfg = _build_config(args)
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
@@ -250,7 +257,7 @@ def _source_of(cfg: RunConfig) -> SourceSpec:
 
 
 def cmd_rate(args) -> int:
-    cfg = _build_config(args, need_n=True)
+    cfg = _build_config(args)
     rows = []
     for n in cfg.n_list:
         index = _build_index(cfg, n)
@@ -268,7 +275,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _build_config(args, need_n=True)
+    cfg = _build_config(args)
     if len(cfg.n_list) < 3:
         raise SpecError("--n-grid needs at least 3 blocklengths for a slope fit")
     rep = third_order_fit(_source_of(cfg), cfg.n_list, cfg.epsilon,
@@ -293,7 +300,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _build_config(args, need_n=True)
+    cfg = _build_config(args)
     if cfg.mode == "markov":
         raise SpecError("check currently covers memoryless families only")
     fam = cfg.spec.family
@@ -337,52 +344,61 @@ def cmd_check(args) -> int:
     return 0
 
 
+# every argument of the CLI; _COMMANDS names the ones each command reads
+_ARGUMENTS = {
+    "--spec": dict(required=True, help="model spec file"),
+    "--mode": dict(choices=["quantized", "point", "markov"],
+                   help="type-class mode (default: from spec kind)"),
+    "--s": dict(type=float, default=1.0, help="cuboid side scale"),
+    "--anchor": dict(help="grid anchor, comma-separated"),
+    "--n": dict(type=int, help="blocklength"),
+    "--n-grid": dict(help="comma-separated blocklengths"),
+    "--epsilon": dict(type=float, default=0.1, help="overflow probability"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--budget-compositions": dict(type=int),
+    "--budget-paths": dict(type=int),
+    "--out": dict(help="output directory for reports"),
+    "input": dict(help="input file"),
+    "output": dict(help="output file"),
+}
+
+_COMMANDS = {
+    "validate": (cmd_validate, "check a spec file", "--spec"),
+    "encode": (cmd_encode, "encode a symbol file",
+               "--spec --mode --s --anchor --budget-compositions --budget-paths input output"),
+    # no grid options: the grid comes from the container
+    "decode": (cmd_decode, "decode a container",
+               "--spec --mode --budget-compositions --budget-paths input output"),
+    "rate": (cmd_rate, "evaluate the finite-blocklength rate",
+             "--spec --mode --s --anchor --n --n-grid --epsilon --budget-compositions "
+             "--budget-paths --out"),
+    "fit": (cmd_fit, "third-order slope experiment",
+            "--spec --mode --s --anchor --n-grid --epsilon --budget-compositions "
+            "--budget-paths --out"),
+    # no --mode: the quantized checks run on any memoryless spec, and a Markov one is refused
+    "check": (cmd_check, "run the bound checks",
+              "--spec --s --anchor --n --n-grid --seed --budget-compositions --out"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tscode",
         description="type-size coding over quantized sufficient-statistic types",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_io=False):
-        p.add_argument("--spec", required=True, help="model spec file")
-        p.add_argument("--mode", choices=["quantized", "point", "markov"],
-                       default=None, help="type-class mode (default: from spec kind)")
-        p.add_argument("--s", type=float, default=1.0, help="cuboid side scale")
-        p.add_argument("--anchor", default=None, help="grid anchor, comma-separated")
-        p.add_argument("--n", type=int, default=None, help="blocklength")
-        p.add_argument("--n-grid", default=None, help="comma-separated blocklengths")
-        p.add_argument("--epsilon", type=float, default=0.1, help="overflow probability")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--budget-compositions", type=int, default=None)
-        p.add_argument("--budget-paths", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory for reports")
-        if need_io:
-            p.add_argument("input", help="input file")
-            p.add_argument("output", help="output file")
-
-    p = sub.add_parser("validate", help="check a spec file")
-    p.add_argument("--spec", required=True)
-    common(sub.add_parser("encode", help="encode a symbol file"), need_io=True)
-    common(sub.add_parser("decode", help="decode a container"), need_io=True)
-    common(sub.add_parser("rate", help="evaluate the finite-blocklength rate"))
-    common(sub.add_parser("fit", help="third-order slope experiment"))
-    common(sub.add_parser("check", help="run the bound checks"))
+    for name, (_, text, arguments) in _COMMANDS.items():
+        # no prefix matching: a dropped --n or --s must not become --n-grid or --spec
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for arg in arguments.split():
+            p.add_argument(arg, **_ARGUMENTS[arg])
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "encode": cmd_encode,
-        "decode": cmd_decode,
-        "rate": cmd_rate,
-        "fit": cmd_fit,
-        "check": cmd_check,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -35,9 +35,6 @@ class Alphabet:
         if not isinstance(self.size, int) or self.size < 2:
             raise SpecError(f"alphabet size must be an integer >= 2, got {self.size!r}")
 
-    def symbols(self) -> range:
-        return range(1, self.size + 1)
-
     def indices(self, xs: Iterable[int]) -> np.ndarray:
         """0-based indices of a nonempty sequence of symbols in 1..size."""
         idx = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)

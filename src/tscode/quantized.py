@@ -112,11 +112,6 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
                      grid.center_of_index)
 
 
-def type_size_of_sequence(index: TypeIndex, xs) -> int:
-    """Exact size of the type class containing the sequence."""
-    return index.sizes[index.class_of(xs)]
-
-
 def _cell_mle(spec: FamilySpec, grid: Grid, tau) -> np.ndarray:
     """Likelihood maximizer at a point that may leave the convex hull of the
     statistic rows by up to half a cell diagonal (a cuboid center)."""

@@ -169,18 +169,12 @@ class FitReport:
     epsilon: float
 
 
-def fit_line(xs, ys) -> tuple[float, float]:
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    a = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(sol[0]), float(sol[1])
-
-
 def fit_excess(points) -> tuple[float, float, tuple[float, ...]]:
+    """Least-squares line of the excess rate against log2 n, and its residuals."""
     xs = [math.log2(n) for n, _, _ in points]
     ys = [y for _, _, y in points]
-    slope, intercept = fit_line(xs, ys)
+    sol, *_ = np.linalg.lstsq(np.vstack([xs, np.ones(len(xs))]).T, ys, rcond=None)
+    slope, intercept = float(sol[0]), float(sol[1])
     residuals = tuple(y - (slope * x + intercept) for x, y in zip(xs, ys))
     return slope, intercept, residuals
 

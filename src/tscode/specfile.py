@@ -9,7 +9,9 @@ replace ``tau`` with ``tau2`` (|X|^2 rows, row-major over symbol pairs) and
 add ``x0``. Numbers are parsed exactly as decimals or p/q rationals;
 NaN, infinities, decimal exponents beyond +-1000 and numbers outside the
 double range are rejected. ``alphabet_size``, ``d`` and the statistic rows
-are checked before anything is sized by them.
+are checked before anything is sized by them. Rows of the other kind of file
+(``x0`` in a memoryless file, ``tau``/``basis``/``coeff`` in a Markov file)
+and repeated ``basis``/``coeff`` rows are rejected, not dropped.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ def _parse_decimal(token: str) -> Fraction:
         raise SchemaError(f"number too long: {token[:20]!r}...: {exc}") from None
 
 
-def parse_exact_number(token: str) -> Fraction:
-    """Exact decimal or p/q rational; rejects NaN/Inf and malformed tokens.
+def parse_exact_real(token: str) -> Fraction:
+    """Exact decimal or p/q rational inside the double range, so it rounds to
+    a double; rejects NaN/Inf and malformed tokens.
 
     Further slashes nest to the right: ``a/b/c`` is a / (b / c).
     """
@@ -58,12 +61,6 @@ def parse_exact_number(token: str) -> Fraction:
         if not value:
             raise SchemaError(f"zero denominator in rational {token.strip()!r}")
         value = num / value
-    return value
-
-
-def parse_exact_real(token: str) -> Fraction:
-    """``parse_exact_number`` inside the double range, so it rounds to a double."""
-    value = parse_exact_number(token)
     if abs(value) > _DOUBLE_MAX:
         raise SchemaError(f"number outside the double range: {token!r}")
     return value
@@ -130,8 +127,10 @@ def parse_spec_text(text: str) -> ParsedSpec:
     if d < 1:
         raise SchemaError(f"d must be at least 1, got {d}")
     is_markov = "tau2" in fields
-    if is_markov and "tau" in fields:
-        raise SchemaError("a spec file may not contain both tau and tau2")
+    foreign = fields.keys() & ({"tau", "basis", "coeff"} if is_markov else {"x0"})
+    if foreign:
+        raise SchemaError(f"a {'tau2' if is_markov else 'tau'} spec file may not contain "
+                          f"{', '.join(sorted(foreign))} rows")
     name, want = ("tau2", m * m) if is_markov else ("tau", m)
     table = fields.get(name)
     if not table:
@@ -178,6 +177,8 @@ def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:
             raise SchemaError(f"basis coordinate must be an integer, got {row[0]!r}") from None
         if not (1 <= coord <= d):
             raise SchemaError(f"basis coordinate {coord} outside 1..{d}")
+        if names[coord - 1]:
+            raise SchemaError(f"repeated basis row for coordinate {coord}")
         pair_names, pair_hints = [], []
         for item in row[1:]:
             name, sep, hint = item.partition("=")
@@ -200,6 +201,8 @@ def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:
             raise SchemaError(f"coeff symbol/coordinate must be integers: {row[:2]}") from None
         if not (1 <= sym <= m) or not (1 <= coord <= d):
             raise SchemaError(f"coeff indices ({sym},{coord}) out of range")
+        if coeffs[sym - 1][coord - 1] is not None:
+            raise SchemaError(f"repeated coeff row for symbol {sym} coordinate {coord}")
         vals = tuple(parse_exact_real(v) for v in row[2:])
         if len(vals) != len(names[coord - 1]):
             raise SchemaError(

@@ -512,14 +512,6 @@ class TypeIndex:
         """The id of the class holding a length-n sequence; no rank is computed."""
         return int(self.member_class[self._member(xs)[1]])
 
-    def export_table(self) -> str:
-        """One row per class: center coordinates, member count, exact size."""
-        lines = ["# center... members size"]
-        for center, count, size in zip(self.centers.tolist(), np.diff(self.bounds).tolist(),
-                                       self.sizes):
-            lines.append(f"{' '.join(map(repr, center))} {count} {size}")
-        return "\n".join(lines) + "\n"
-
 
 def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
     """A row-wise ``fn`` applied to ``KEY_BLOCK`` rows at a time, so that its

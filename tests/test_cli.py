@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 
 import tscode
 from tscode import container as containerfmt
-from tscode.cli import main
+from tscode.cli import main, make_parser
 from tscode.codec import Codeword
 from tscode.errors import ContainerError, SchemaError
 from tscode.rates import SourceSpec, build_index, m_eps, third_order_fit
-from tscode.specfile import canonical_text, parse_exact_number, parse_spec_text
+from tscode.specfile import canonical_text, parse_exact_real, parse_spec_text
 
 BERN_SPEC = """
 # Bernoulli family with the true model at P(1) = 0.3
@@ -85,14 +86,14 @@ class TestSpecFileParsing:
         assert spec.markov.x0 == 1
 
     def test_exact_decimal_parsing(self):
-        assert parse_exact_number("0.1") * 10 == 1
-        assert parse_exact_number("1/3") * 3 == 1
-        assert float(parse_exact_number("2.5e-1")) == 0.25
+        assert parse_exact_real("0.1") * 10 == 1
+        assert parse_exact_real("1/3") * 3 == 1
+        assert float(parse_exact_real("2.5e-1")) == 0.25
 
     def test_nan_inf_rejected(self):
         for bad in ("nan", "inf", "-inf", "NaN"):
             with pytest.raises(SchemaError):
-                parse_exact_number(bad)
+                parse_exact_real(bad)
 
     def test_wrong_row_length_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -120,6 +121,23 @@ class TestSpecFileParsing:
         spec = parse_spec_text(SQRT2_SPEC)
         again = parse_spec_text(canonical_text(spec))
         assert again.spec_hash == spec.spec_hash
+
+    @pytest.mark.parametrize("text, message", [
+        (SQRT2_SPEC + "coeff 2 1 5 0\n", "repeated coeff row for symbol 2 coordinate 1"),
+        (SQRT2_SPEC + "basis 1 one=1 pi=3.14\n", "repeated basis row for coordinate 1"),
+        (BERN_SPEC + "x0 1\n", "a tau spec file may not contain x0 rows"),
+        (FLIP_SPEC + "basis 1 one=1\n", "a tau2 spec file may not contain basis rows"),
+        (FLIP_SPEC + "coeff 1 1 0\n", "a tau2 spec file may not contain coeff rows"),
+    ], ids=["repeated-coeff", "repeated-basis", "memoryless-x0", "markov-basis",
+            "markov-coeff"])
+    def test_rows_that_would_be_dropped_are_schema_errors(self, tmp_path, capsys, text,
+                                                          message):
+        with pytest.raises(SchemaError, match=message):
+            parse_spec_text(text)
+        spec = tmp_path / "dropped.spec"
+        spec.write_text(text)
+        assert main(["validate", "--spec", str(spec)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestContainerFormat:
@@ -440,8 +458,9 @@ class TestCliRoundTrip:
         seq = workdir / "seq.txt"
         seq.write_text(" ".join(map(str, symbols)) + "\n")
         cont, out = workdir / "seq.tsz", workdir / "seq.out"
-        common = ["--spec", str(workdir / spec), "--mode", mode, *extra]
-        assert main(["encode", *common, str(seq), str(cont)]) == 0
+        # the grid options go to encode only: decode reads the grid from the container
+        common = ["--spec", str(workdir / spec), "--mode", mode]
+        assert main(["encode", *common, *extra, str(seq), str(cont)]) == 0
         assert main(["decode", *common, str(cont), str(out)]) == 0
         assert out.read_bytes() == seq.read_bytes()
         capsys.readouterr()
@@ -574,6 +593,39 @@ class TestRateFitCheckCommands:
         err = capsys.readouterr().err
         assert "epsilon" in err and "s must be positive" in err and "blocklength" in err
         assert "anchor must be comma-separated finite reals, got 'abc'" in err
+
+    def test_malformed_n_grid_is_not_also_reported_missing(self, workdir, capsys):
+        assert main(["rate", "--spec", str(workdir / "bern.spec"), "--n-grid", "4,,8"]) == 2
+        err = capsys.readouterr().err
+        assert "--n-grid must be comma-separated integers" in err and "required" not in err
+
+
+BUDGETS = {"--budget-compositions", "--budget-paths"}
+
+
+@pytest.mark.parametrize("command, options, dropped", [
+    ("validate", {"--spec"}, ["--n", "4"]),
+    ("encode", {"--spec", "--mode", "--s", "--anchor", *BUDGETS}, ["--epsilon", "0.5"]),
+    ("decode", {"--spec", "--mode", *BUDGETS}, ["--s", "2"]),
+    ("rate", {"--spec", "--mode", "--s", "--anchor", "--n", "--n-grid", "--epsilon", *BUDGETS,
+              "--out"}, ["--seed", "3"]),
+    ("fit", {"--spec", "--mode", "--s", "--anchor", "--n-grid", "--epsilon", *BUDGETS,
+             "--out"}, ["--n", "8"]),
+    ("check", {"--spec", "--s", "--anchor", "--n", "--n-grid", "--seed",
+               "--budget-compositions", "--out"}, ["--epsilon", "0.2"]),
+])
+def test_each_command_takes_only_the_options_it_reads(workdir, capsys, command, options,
+                                                       dropped):
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert defined - {"-h", "--help"} == options
+    argv = [command, "--spec", str(workdir / "bern.spec"), *dropped]
+    if command in ("encode", "decode"):
+        argv += [str(workdir / "in"), str(workdir / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {dropped[0]}" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -211,7 +211,7 @@ class TestEncodeDecode:
         # within-class colex walk of the ranking
         for n in (6, 9):
             idx = build_type_index(bernoulli, n, Grid.create(n=n, s=2.5, d=1))
-            assert any(len(c.members) > 1 for c in idx.classes)
+            assert (np.diff(idx.bounds) > 1).any()
             o = ClassOrdering(idx)
             seen = set()
             for xs in product((1, 2), repeat=n):

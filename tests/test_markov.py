@@ -192,12 +192,12 @@ class TestMarkovTypeIndex:
     def test_n1_classes_by_first_step(self, flip_markov):
         idx = markov_type_index(flip_markov, 1, Grid.create(n=1, s=1.0, d=1))
         assert sum(idx.sizes) == 2
-        assert len(idx.classes) == 2  # stay vs flip from x0
+        assert len(idx.sizes) == 2  # stay vs flip from x0
 
     def test_flip_counts_are_binomial(self, flip_markov):
         n = 12
         idx = markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))
-        assert sorted(c.size for c in idx.classes) == sorted(
+        assert sorted(idx.sizes) == sorted(
             math.comb(n, k) for k in range(n + 1))
 
     def test_partition(self, circulant3):

@@ -170,18 +170,18 @@ class TestPointClasses:
     def test_index_bernoulli_matches_compositions(self, bernoulli):
         lmap = derive_lattice(ExactStatMap.from_rational_tau(bernoulli))
         idx = point_type_index(bernoulli, lmap, 4)
-        assert sorted(c.size for c in idx.classes) == [1, 1, 4, 4, 6]
+        assert sorted(idx.sizes) == [1, 1, 4, 4, 6]
 
     def test_index_sqrt2_n2(self, sqrt2_family, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
         idx = point_type_index(sqrt2_family, lmap, 2)
-        assert len(idx.classes) == 6
+        assert len(idx.sizes) == 6
         assert sum(idx.sizes) == 9
 
     def test_full_rank_classes_equal_compositions(self, ternary):
         lmap = derive_lattice(ExactStatMap.from_rational_tau(ternary))
         idx = point_type_index(ternary, lmap, 5)
-        assert all(len(c.members) == 1 for c in idx.classes)
+        assert (np.diff(idx.bounds) == 1).all()
         assert sum(idx.sizes) == 3 ** 5
 
     def test_partition(self, sqrt2_family, sqrt2_statmap):
@@ -207,8 +207,8 @@ class TestEquiprobability:
         rng = np.random.default_rng(17)
         thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
         # two sequences from one class: permutations of a member composition
-        for cls in idx.classes:
-            counts = idx.member_stats[cls.members[0]]
+        for first in idx.members[idx.bounds[:-1]]:
+            counts = idx.member_stats[first]
             seq1 = [s + 1 for s in range(3) for _ in range(counts[s])]
             seq2 = seq1[::-1]
             for th in thetas:
@@ -222,12 +222,13 @@ class TestEquiprobability:
         rng = np.random.default_rng(18)
         thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
 
-        def rep(cls):
-            counts = idx.member_stats[cls.members[0]]
+        def rep(member):
+            counts = idx.member_stats[member]
             return [s + 1 for s in range(3) for _ in range(counts[s])]
 
-        for i, ca in enumerate(idx.classes):
-            for cb in idx.classes[i + 1:]:
+        firsts = idx.members[idx.bounds[:-1]].tolist()
+        for i, ca in enumerate(firsts):
+            for cb in firsts[i + 1:]:
                 gap = max(abs(seq_log_prob(sqrt2_family, [th], rep(ca))
                               - seq_log_prob(sqrt2_family, [th], rep(cb)))
                           for th in thetas)
@@ -239,10 +240,11 @@ class TestEquiprobability:
             n = 6
             grid = Grid.create(n=n, s=s, d=1)
             point_idx = point_type_index(sqrt2_family, lmap, n)
-            for cls in point_idx.classes:
+            bounds = point_idx.bounds
+            for c in range(len(bounds) - 1):
                 cells = {tuple(grid.cell_index((point_idx.member_stats[mem].astype(float)
                                                 @ sqrt2_family.tau_array) / n))
-                         for mem in cls.members}
+                         for mem in point_idx.members[bounds[c]:bounds[c + 1]]}
                 assert len(cells) == 1
 
 

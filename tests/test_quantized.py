@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import tscode.typeclass
 from tscode.errors import BudgetError, SpecError
 from tscode.family import FamilySpec, suffstat
-from tscode.quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of, type_size_of_sequence
+from tscode.quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of
 from tscode.typeclass import (
     colex_rank,
     composition_array,
@@ -131,17 +131,17 @@ class TestCompositions:
 class TestBuildTypeIndex:
     def test_single_cuboid_when_s_large(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=100.0, d=1))
-        assert len(idx.classes) == 1
-        assert idx.classes[0].size == 16
+        assert len(idx.sizes) == 1
+        assert idx.sizes[0] == 16
 
     def test_per_composition_grid_binomials(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        assert sorted(c.size for c in idx.classes) == [1, 1, 4, 4, 6]
+        assert sorted(idx.sizes) == [1, 1, 4, 4, 6]
         assert sum(idx.sizes) == 16
 
     def test_ternary_per_composition(self, ternary):
         idx = build_type_index(ternary, 3, Grid.create(n=3, s=1.0, d=2))
-        assert len(idx.classes) == 10
+        assert len(idx.sizes) == 10
         assert sum(idx.sizes) == 27
 
     def test_partition_sums_to_total(self, ternary):
@@ -200,31 +200,26 @@ class TestBuildTypeIndex:
         with pytest.raises(BudgetError, match="budget is 10"):
             build_type_index(ternary, 10, Grid.create(n=10, s=1.0, d=2), budget=10)
 
-    def test_export_table_contains_sizes(self, bernoulli):
-        idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        table = idx.export_table()
-        assert "6" in table and len(table.strip().splitlines()) == 6
-
 
 class TestTypeSizeOfSequence:
     def test_singleton(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        assert type_size_of_sequence(idx, [1, 1, 1, 1]) == 1
+        assert idx.sizes[idx.class_of([1, 1, 1, 1])] == 1
 
     def test_balanced_binary(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        assert type_size_of_sequence(idx, [1, 1, 2, 2]) == 6
+        assert idx.sizes[idx.class_of([1, 1, 2, 2])] == 6
 
     def test_coarse_grid_merges_compositions(self, bernoulli):
         # anchor 0.25, side 0.5: the cell (0, 0.5] holds tau = 0.25 and 0.5
         g = Grid(n=4, s=2.0, d=1, anchor=(0.25,))
         idx = build_type_index(bernoulli, 4, g)
-        assert type_size_of_sequence(idx, [1, 1, 2, 2]) == 10
+        assert idx.sizes[idx.class_of([1, 1, 2, 2])] == 10
 
     def test_permutation_invariant(self, ternary):
         idx = build_type_index(ternary, 5, Grid.create(n=5, s=1.0, d=2))
-        a = type_size_of_sequence(idx, [1, 2, 3, 2, 1])
-        b = type_size_of_sequence(idx, [3, 2, 2, 1, 1])
+        a = idx.sizes[idx.class_of([1, 2, 3, 2, 1])]
+        b = idx.sizes[idx.class_of([3, 2, 2, 1, 1])]
         assert a == b
 
     def test_no_rank_inside_the_composition(self, ternary, monkeypatch):
@@ -239,7 +234,6 @@ class TestTypeSizeOfSequence:
             raise AssertionError("rank_in_composition called")
         monkeypatch.setattr(tscode.typeclass, "rank_in_composition", fail)
         for xs, key in zip(seqs, keys):
-            assert type_size_of_sequence(idx, xs) == sizes[key]
             assert idx.sizes[idx.class_of(xs)] == sizes[key]
         assert max(sizes.values()) > math.comb(6, 2) * math.comb(4, 2)  # merged classes
 

@@ -132,7 +132,7 @@ class TestMEps:
         # cell, leaving distinct class sizes {3, 1}; only the smallest survives
         grid = Grid(n=2, s=1.6, d=1, anchor=(0.2,))
         idx = build_type_index(bernoulli, 2, grid)
-        assert sorted(c.size for c in idx.classes) == [1, 3]
+        assert sorted(idx.sizes) == [1, 3]
         rep = m_eps(SourceSpec(bernoulli, (0.0,)), idx, 1 - 1e-9)
         assert rep.M == 1
 
@@ -159,11 +159,11 @@ class TestMEps:
             masses = class_masses(src, idx)
             for eps in np.arange(0.02, 0.99, 0.03):
                 best = None
-                for t in sorted({c.size for c in idx.classes}):
-                    drop = math.fsum(m for c, m in zip(idx.classes, masses)
-                                     if c.size > t)
+                for t in sorted(set(idx.sizes)):
+                    drop = math.fsum(m for size, m in zip(idx.sizes, masses)
+                                     if size > t)
                     if drop <= eps:
-                        kept = sum(c.size for c in idx.classes if c.size <= t)
+                        kept = sum(size for size in idx.sizes if size <= t)
                         best = kept if best is None else min(best, kept)
                 assert m_eps(src, idx, float(eps)).M == best
 
@@ -351,7 +351,7 @@ class TestRateOracle:
         # smallest admissible codebook count
         src = SourceSpec(sqrt2_family, (0.0,))
         idx = build_type_index(sqrt2_family, 1, Grid.create(n=1, s=0.6, d=1))
-        assert sorted(c.size for c in idx.classes) == [1, 2]
+        assert sorted(idx.sizes) == [1, 2]
         assert m_eps(src, idx, 0.7).M == 1    # drop the merged pair (mass 2/3)
         assert eps_rate(src, idx, 0.7) == 0.0
         assert m_eps(src, idx, 0.4).M == 3    # cannot drop anything at 0.4

@@ -32,7 +32,7 @@ from tscode.markov import (
     transition_matrix,
 )
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_class_of, point_type_index
-from tscode.quantized import Grid, build_type_index, type_size_of_sequence
+from tscode.quantized import Grid, build_type_index
 from tscode.rates import SourceSpec, class_masses
 from tscode.typeclass import check_composition_budget, composition_array, group_rows, multinomial
 
@@ -45,7 +45,8 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
     n = index.n
     seqs = list(product(range(1, m + 1), repeat=n))
     # class ids are the codec slots, and (size, key) ascends along the columns
-    assert [c.id for c in ordering.classes] == list(range(len(index.sizes)))
+    assert np.array_equal(index.member_class[index.members],
+                          np.repeat(np.arange(len(index.sizes)), np.diff(index.bounds)))
     pairs = list(zip(index.sizes, map(tuple, index.keys.tolist())))
     assert all(a < b for a, b in zip(pairs, pairs[1:]))
     assert index.log2_sizes.tolist() == [math.log2(size) for size in index.sizes]
@@ -181,6 +182,22 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
     assert gc.collect() == 0
 
 
+def test_class_views_read_the_columns(ternary, sqrt2_family, sqrt2_statmap, flip_markov):
+    # tsbench reads index.classes and ordering.classes; nothing in tscode does
+    n = 12
+    for index in (build_type_index(ternary, n, Grid.create(n=n, s=2.0, d=2)),
+                  point_type_index(sqrt2_family, derive_lattice(sqrt2_statmap), n),
+                  markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))):
+        bounds = index.bounds
+        for classes in (index.classes, ClassOrdering(index).classes):
+            assert [c.size for c in classes] == index.sizes
+            assert [c.id for c in classes] == list(range(len(index.sizes)))
+            for c, cls in enumerate(classes):
+                assert np.array_equal(cls.members, index.members[bounds[c]:bounds[c + 1]])
+        # the views read only the sizes, members and bounds
+        assert not {"keys", "centers"} & set(vars(index))
+
+
 LAZY_COLUMNS = ("keys", "centers", "sizes", "log2_sizes", "member_log2_sizes")
 
 
@@ -226,10 +243,8 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
         assert ordering.decode(ordering.encode(xs)) == xs
         assert index.class_of(xs) == index.member_class[index.members[index.locate(xs)[0]]]
     assert not set(LAZY_COLUMNS) & set(vars(index))
-    if index.mode == "quantized":
-        type_size_of_sequence(index, xs)
-    # nor do the class size lookup and the class views
-    assert len(index.classes) == len(ordering.classes)
+    # nor does the class size lookup
+    assert index.sizes[index.class_of(xs)] >= 1
     assert not {"keys", "centers"} & set(vars(index))
     # each equals the formula that used to build it eagerly
     bounds = index.bounds.tolist()
