@@ -52,8 +52,7 @@ class RunConfig:
     n_list: tuple[int, ...]
     epsilon: float | None
     seed: int | None
-    budget_compositions: int | None
-    budget_paths: int | None
+    budget: int | None
     out: Path | None
 
 
@@ -97,6 +96,10 @@ def _build_config(args) -> RunConfig:
         anchor = _parse_anchor(opts.get("anchor"))
     except SchemaError as exc:
         problems.append(str(exc))
+    if spec is not None and anchor is not None:
+        d = (spec.markov or spec.family).d
+        if len(anchor) != d:
+            problems.append(f"anchor has length {len(anchor)}, expected d={d}")
     n_list: tuple[int, ...] = ()
     n, n_grid = opts.get("n"), opts.get("n_grid")
     if n is not None and n_grid:
@@ -113,20 +116,20 @@ def _build_config(args) -> RunConfig:
         problems.append(f"a blocklength is required ({flags})")
     if n_list and (any(v < 1 for v in n_list) or list(n_list) != sorted(set(n_list))):
         problems.append(f"blocklengths must be positive and strictly increasing: {n_list}")
+    if args.command == "fit" and 0 < len(n_list) < 3:
+        problems.append("--n-grid needs at least 3 blocklengths for a slope fit")
     epsilon = opts.get("epsilon")
     if epsilon is not None and not (0.0 < epsilon < 1.0):
         problems.append(f"epsilon must be in (0,1), got {epsilon}")
-    for name in ("budget_compositions", "budget_paths"):
-        v = opts.get(name)
-        if v is not None and v < 1:
-            problems.append(f"--{name.replace('_', '-')} must be positive")
+    budget = opts.get("budget")
+    if budget is not None and budget < 1:
+        problems.append(f"--budget must be positive, got {budget}")
     if problems:
         raise SchemaError("invalid configuration:\n  " + "\n  ".join(problems))
     return RunConfig(
         spec=spec, mode=mode, s=s, anchor=anchor, n_list=n_list,
         epsilon=epsilon, seed=opts.get("seed"),
-        budget_compositions=opts.get("budget_compositions"),
-        budget_paths=opts.get("budget_paths"),
+        budget=budget,
         out=Path(opts["out"]) if opts.get("out") else None,
     )
 
@@ -168,8 +171,7 @@ def _family(cfg: RunConfig):
 
 def _build_index(cfg: RunConfig, n: int):
     return build_index(_family(cfg), cfg.mode, n, s=cfg.s, anchor=cfg.anchor,
-                       stat_map=cfg.spec.stat_map, budget=cfg.budget_compositions,
-                       budget_paths=cfg.budget_paths)
+                       stat_map=cfg.spec.stat_map, budget=cfg.budget)
 
 
 def cmd_validate(args) -> int:
@@ -276,13 +278,9 @@ def cmd_rate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _build_config(args)
-    if len(cfg.n_list) < 3:
-        raise SpecError("--n-grid needs at least 3 blocklengths for a slope fit")
     rep = third_order_fit(_source_of(cfg), cfg.n_list, cfg.epsilon,
                           mode=cfg.mode, s=cfg.s, anchor=cfg.anchor,
-                          stat_map=cfg.spec.stat_map,
-                          budget=cfg.budget_compositions,
-                          budget_paths=cfg.budget_paths)
+                          stat_map=cfg.spec.stat_map, budget=cfg.budget)
     print(f"mode {rep.mode}  slope {rep.slope:.4f}  intercept {rep.intercept:.4f}")
     for (n, rate, y), resid in zip(rep.points, rep.residuals):
         print(f"  n={n:>6} rate={rate:.6f} excess={y:+.4f} residual={resid:+.4f}")
@@ -308,14 +306,14 @@ def cmd_check(args) -> int:
     print("likelihood-approximation gap (statistic vs cuboid center):")
     for n in cfg.n_list:
         grid = Grid.create(n=n, s=cfg.s, d=fam.d, anchor=cfg.anchor)
-        gap = ml_approx_check(fam, grid, n, budget=cfg.budget_compositions)
+        gap = ml_approx_check(fam, grid, n, budget=cfg.budget)
         bound = 2 * fam.kappa * cfg.s
         print(f"  n={n:>5}: max gap {gap:.6f} <= bound {bound:.6f}")
         fields.append(("ml_gap", f"n={n} gap={gap!r} bound={bound!r}"))
     print("class-size sandwich deviation (constant fitted at the smallest n):")
     violated = False
     for n, dev, cstar, ok in sandwich_sweep(fam, cfg.n_list, cfg.s, anchor=cfg.anchor,
-                                            budget=cfg.budget_compositions):
+                                            budget=cfg.budget):
         if n == cfg.n_list[0]:
             fields.append(("sandwich_fit", f"n={n} dev={dev!r} cstar={cstar!r}"))
             print(f"  n={n:>5}: deviation {dev:.6f} (fit C*={cstar:.6f})")
@@ -355,8 +353,7 @@ _ARGUMENTS = {
     "--n-grid": dict(help="comma-separated blocklengths"),
     "--epsilon": dict(type=float, default=0.1, help="overflow probability"),
     "--seed": dict(type=int, default=0, help="RNG seed"),
-    "--budget-compositions": dict(type=int),
-    "--budget-paths": dict(type=int),
+    "--budget": dict(type=int, help="most compositions or paths an index may enumerate"),
     "--out": dict(help="output directory for reports"),
     "input": dict(help="input file"),
     "output": dict(help="output file"),
@@ -365,19 +362,17 @@ _ARGUMENTS = {
 _COMMANDS = {
     "validate": (cmd_validate, "check a spec file", "--spec"),
     "encode": (cmd_encode, "encode a symbol file",
-               "--spec --mode --s --anchor --budget-compositions --budget-paths input output"),
+               "--spec --mode --s --anchor --budget input output"),
     # no grid options: the grid comes from the container
     "decode": (cmd_decode, "decode a container",
-               "--spec --mode --budget-compositions --budget-paths input output"),
+               "--spec --mode --budget input output"),
     "rate": (cmd_rate, "evaluate the finite-blocklength rate",
-             "--spec --mode --s --anchor --n --n-grid --epsilon --budget-compositions "
-             "--budget-paths --out"),
+             "--spec --mode --s --anchor --n --n-grid --epsilon --budget --out"),
     "fit": (cmd_fit, "third-order slope experiment",
-            "--spec --mode --s --anchor --n-grid --epsilon --budget-compositions "
-            "--budget-paths --out"),
+            "--spec --mode --s --anchor --n-grid --epsilon --budget --out"),
     # no --mode: the quantized checks run on any memoryless spec, and a Markov one is refused
     "check": (cmd_check, "run the bound checks",
-              "--spec --s --anchor --n --n-grid --seed --budget-compositions --out"),
+              "--spec --s --anchor --n --n-grid --seed --budget --out"),
 }
 
 

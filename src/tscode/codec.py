@@ -112,9 +112,8 @@ class ClassOrdering:
     def encode(self, xs) -> Codeword:
         return string_of_index(self.rank(xs))
 
-    def decode(self, codeword) -> tuple[int, ...]:
-        bits = codeword.bits if isinstance(codeword, Codeword) else str(codeword)
-        idx = index_of_string(bits)
+    def decode(self, codeword: Codeword) -> tuple[int, ...]:
+        idx = index_of_string(codeword.bits)
         if idx >= self.total:
             raise ContainerError(
                 f"codeword index {idx} is outside the {self.total} sequences at n={self.index.n}"

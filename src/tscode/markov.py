@@ -20,10 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetError, SpecError
+from .errors import SpecError
 from .family import Alphabet, FamilySpec
 from .quantized import Grid
-from .typeclass import ID_LIMIT_HINT, MAX_MEMBERS, TypeIndex
+from .typeclass import TypeIndex, check_budget
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -188,7 +188,7 @@ def _all_path_stats(mspec: MarkovFamilySpec, n: int) -> np.ndarray:
 
 
 def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
-                      budget_paths: int | None = None) -> TypeIndex:
+                      budget: int | None = None) -> TypeIndex:
     """Quantized pair-statistic type classes at blocklength n, with exact
     sizes from enumerating all m^n paths (whose packed ids are the codec's
     member order)."""
@@ -197,14 +197,11 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
     if grid.d != mspec.d:
         raise SpecError(f"grid dimension {grid.d} does not match family d={mspec.d}")
     m = mspec.alphabet.size
-    budget = DEFAULT_PATH_BUDGET if budget_paths is None else budget_paths
+    budget = DEFAULT_PATH_BUDGET if budget is None else budget
     # m^n >= 2^n > budget once n reaches the budget's bit length, so the
     # power is only formed when it is small
-    if n >= budget.bit_length() or m ** n > budget:
-        raise BudgetError("path enumeration", f"{m}^{n}", budget,
-                          hint="raise --budget-paths")
-    if m ** n > MAX_MEMBERS:
-        raise BudgetError("path enumeration", f"{m}^{n}", budget, hint=ID_LIMIT_HINT)
+    needed = m ** n if n < budget.bit_length() else math.inf
+    check_budget("path enumeration", needed, budget, shown=f"{m}^{n}")
     stats = _all_path_stats(mspec, n)
     return TypeIndex(mspec, n, "markov", stats, [1], np.zeros(len(stats), dtype=np.int32),
                      lambda sums: grid.cell_index(sums / n), grid.center_of_index)

@@ -20,9 +20,11 @@ import numpy as np
 from .errors import SpecError
 from .family import FamilySpec, evaluate, mle
 from .typeclass import (
+    DEFAULT_COMPOSITION_BUDGET,
     TypeIndex,
-    check_composition_budget,
+    check_budget,
     composition_array,
+    composition_count,
     multiset_sizes,
 )
 
@@ -241,7 +243,8 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
                      budget: int | None = None) -> TypeIndex:
     """Group all n-compositions by their exact scaled lattice point."""
     m = spec.alphabet.size
-    check_composition_budget(n, m, budget)
+    check_budget("composition enumeration", composition_count(n, m),
+                 DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
     comps = composition_array(n, m)
 
     def centers_of_keys(keys):

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import SpecError
 from .family import FamilySpec, evaluate, mle, suffstat
 from .typeclass import (
+    DEFAULT_COMPOSITION_BUDGET,
     TypeIndex,
-    check_composition_budget,
+    check_budget,
     composition_array,
+    composition_count,
     multiset_sizes,
 )
 
@@ -100,7 +102,8 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     if grid.d != spec.d:
         raise SpecError(f"grid dimension {grid.d} does not match family d={spec.d}")
     m = spec.alphabet.size
-    check_composition_budget(n, m, budget)
+    check_budget("composition enumeration", composition_count(n, m),
+                 DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
     comps = composition_array(n, m)
 
     def keys_of(counts):

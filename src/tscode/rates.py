@@ -180,13 +180,12 @@ def fit_excess(points) -> tuple[float, float, tuple[float, ...]]:
 
 
 def build_index(family, mode: str, n: int, s: float = 1.0, anchor=None,
-                stat_map=None, budget: int | None = None,
-                budget_paths: int | None = None) -> TypeIndex:
+                stat_map=None, budget: int | None = None) -> TypeIndex:
     """The type index of one mode at blocklength n: compositions ("quantized")
     or paths ("markov") by the grid cuboid of their statistic average, or
     compositions by exact lattice point ("point", from ``stat_map`` or else
-    the family's rational tau). ``budget`` caps compositions, ``budget_paths``
-    paths."""
+    the family's rational tau). ``budget`` caps the members enumerated,
+    compositions or paths; each builder has its own default."""
     if mode not in ("quantized", "point", "markov"):
         raise ValueError(f"unknown mode {mode!r}")
     if (mode == "markov") != isinstance(family, MarkovFamilySpec):
@@ -197,14 +196,13 @@ def build_index(family, mode: str, n: int, s: float = 1.0, anchor=None,
         return point_type_index(family, derive_lattice(stat_map), n, budget=budget)
     grid = Grid.create(n=n, s=s, d=family.d, anchor=anchor)
     if mode == "markov":
-        return markov_type_index(family, n, grid, budget_paths=budget_paths)
+        return markov_type_index(family, n, grid, budget=budget)
     return build_type_index(family, n, grid, budget=budget)
 
 
 def third_order_fit(source: SourceSpec, n_list, epsilon: float,
                     mode: str = "quantized", s: float = 1.0, anchor=None,
-                    stat_map=None, budget: int | None = None,
-                    budget_paths: int | None = None) -> FitReport:
+                    stat_map=None, budget: int | None = None) -> FitReport:
     """Fit the excess y(n) = n*rate - n*H - sigma*sqrt(n)*Qinv(eps) against
     log2 n, building and evaluating one blocklength's index at a time.
 
@@ -223,7 +221,7 @@ def third_order_fit(source: SourceSpec, n_list, epsilon: float,
     points = []
     for n in ns:
         index = build_index(source.family, mode, n, s=s, anchor=anchor, stat_map=stat_map,
-                            budget=budget, budget_paths=budget_paths)
+                            budget=budget)
         rate = eps_rate(source, index, epsilon)
         points.append((n, rate, n * rate - n * h - sigma * math.sqrt(n) * qi))
     slope, intercept, residuals = fit_excess(points)

@@ -58,8 +58,8 @@ def composition_count(n: int, m: int) -> int:
 
 def composition_array(n: int, m: int) -> np.ndarray:
     """All m-part compositions of n in ascending colex order, as (N, m) int32
-    (counts are at most n, and ``check_composition_budget`` keeps N and so n
-    below 2^31).
+    (counts are at most n, and ``check_budget`` keeps N and so n below
+    2^31).
 
     Built from the most significant (last) count down: a row with r still to
     place expands into r + 1 rows, one per value 0..r of the next count.
@@ -372,8 +372,8 @@ class TypeIndex:
     members' exact sequence counts in that layout, and by member id
     ``member_class`` and ``member_stats`` (composition counts, int32, or
     Markov path-statistic sums). Member ids, ``bounds``, ``member_class``
-    and the table rows are int32; the composition and path budgets refuse an
-    index of 2^31 members or more, whatever their value.
+    and the table rows are int32; ``check_budget`` refuses an index of 2^31
+    members or more, whatever the budget.
 
     The columns that the codec does not read are derived on first read and
     then kept: per class, ``keys`` (K, kdim), ``centers`` (K, d), exact
@@ -520,12 +520,10 @@ def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.n
     return np.concatenate([fn(rows[lo:lo + KEY_BLOCK]) for lo in range(0, len(rows), KEY_BLOCK)])
 
 
-def check_composition_budget(n: int, m: int, budget: int | None) -> int:
-    budget = DEFAULT_COMPOSITION_BUDGET if budget is None else budget
-    needed = composition_count(n, m)
+def check_budget(what: str, needed: int | float, budget: int, shown: str | None = None) -> None:
+    """Refuse an enumeration of ``needed`` members (``shown`` in the message,
+    if given) above the budget or above what int32 member ids can number."""
     if needed > budget:
-        raise BudgetError("composition enumeration", needed, budget,
-                          hint="raise the composition budget")
+        raise BudgetError(what, shown or needed, budget, hint="raise --budget")
     if needed > MAX_MEMBERS:
-        raise BudgetError("composition enumeration", needed, budget, hint=ID_LIMIT_HINT)
-    return needed
+        raise BudgetError(what, shown or needed, budget, hint=ID_LIMIT_HINT)

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -318,20 +319,18 @@ class TestEncodeDecodeCommands:
         assert f"requires {needed} items" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
 
-    @pytest.mark.parametrize("spec_file, mode, header, n, budget", [
-        ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), 31, "--budget-paths"),
-        ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), 2 ** 31 - 1,
-         "--budget-compositions"),
+    @pytest.mark.parametrize("spec_file, mode, header, n", [
+        ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), 31),
+        ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), 2 ** 31 - 1),
     ], ids=["markov", "quantized"])
-    def test_forged_n_past_int32_ids_exits_4(self, workdir, capsys, spec_file, mode, header,
-                                             n, budget):
+    def test_forged_n_past_int32_ids_exits_4(self, workdir, capsys, spec_file, mode, header, n):
         # 2^31 members: refused whatever the budget, before any enumeration
         spec = workdir / spec_file
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
             n=n, codeword=Codeword("101"), **header)))
-        assert main(["decode", "--spec", str(spec), "--mode", mode, budget, str(2 ** 40),
+        assert main(["decode", "--spec", str(spec), "--mode", mode, "--budget", str(2 ** 40),
                      str(cont), str(workdir / "never.txt")]) == 4
         assert "member ids are int32" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
@@ -368,12 +367,18 @@ class TestEncodeDecodeCommands:
         assert sorted(os.listdir(workdir)) == before
         assert not any(target.iterdir())
 
-    def test_budget_exit_4(self, workdir):
+    def test_budget_exit_4(self, workdir, capsys):
         seq = workdir / "seq.txt"
         seq.write_text("1 2 1 2 1 2 1 2\n")
-        assert main(["encode", "--spec", str(workdir / "bern.spec"),
-                     "--mode", "quantized", "--budget-compositions", "3",
-                     str(seq), str(workdir / "x.tsz")]) == 4
+        # n = 8 has C(9, 1) binary compositions, C(10, 2) ternary ones and 2^8 paths
+        for spec_file, mode, members in [("bern.spec", "quantized", 9),
+                                         ("sqrt2.spec", "point", 45),
+                                         ("flip.spec", "markov", 256)]:
+            for budget, code in [(members - 1, 4), (members, 0)]:
+                assert main(["encode", "--spec", str(workdir / spec_file), "--mode", mode,
+                             "--budget", str(budget), str(seq), str(workdir / "x.tsz")]) == code
+                err = capsys.readouterr().err
+                assert ("(raise --budget)" in err) == (code == 4), (mode, budget)
 
 
 class TestGridValidation:
@@ -593,6 +598,24 @@ class TestRateFitCheckCommands:
         err = capsys.readouterr().err
         assert "epsilon" in err and "s must be positive" in err and "blocklength" in err
         assert "anchor must be comma-separated finite reals, got 'abc'" in err
+        # options well formed but wrong for the spec or the command are reported too
+        assert main(["rate", "--spec", str(workdir / "tern.spec"), "--anchor", "1,2,3",
+                     "--n", "6", "--epsilon", "2", "--budget", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "anchor has length 3, expected d=2" in err and "epsilon must be in" in err
+        assert "--budget must be positive, got 0" in err
+        assert main(["fit", "--spec", str(workdir / "flip.spec"), "--anchor", "0.5,0",
+                     "--n-grid", "8,16"]) == 2
+        err = capsys.readouterr().err
+        assert "anchor has length 2, expected d=1" in err
+        assert "--n-grid needs at least 3 blocklengths" in err
+        seq = workdir / "seq.txt"
+        seq.write_text("1 3 2\n")
+        assert main(["encode", "--spec", str(workdir / "tern.spec"), "--anchor", "0.5",
+                     str(seq), str(workdir / "x.tsz")]) == 2
+        assert "schema error: invalid configuration:\n  anchor has length 1, expected d=2" \
+            in capsys.readouterr().err
+        assert not (workdir / "x.tsz").exists()
 
     def test_malformed_n_grid_is_not_also_reported_missing(self, workdir, capsys):
         assert main(["rate", "--spec", str(workdir / "bern.spec"), "--n-grid", "4,,8"]) == 2
@@ -600,32 +623,48 @@ class TestRateFitCheckCommands:
         assert "--n-grid must be comma-separated integers" in err and "required" not in err
 
 
-BUDGETS = {"--budget-compositions", "--budget-paths"}
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+# 34 option slots: validate 1, encode 5, decode 3, rate 9, fit 8, check 8
 @pytest.mark.parametrize("command, options, dropped", [
     ("validate", {"--spec"}, ["--n", "4"]),
-    ("encode", {"--spec", "--mode", "--s", "--anchor", *BUDGETS}, ["--epsilon", "0.5"]),
-    ("decode", {"--spec", "--mode", *BUDGETS}, ["--s", "2"]),
-    ("rate", {"--spec", "--mode", "--s", "--anchor", "--n", "--n-grid", "--epsilon", *BUDGETS,
+    ("encode", {"--spec", "--mode", "--s", "--anchor", "--budget"}, ["--epsilon", "0.5"]),
+    ("decode", {"--spec", "--mode", "--budget"}, ["--s", "2"]),
+    ("rate", {"--spec", "--mode", "--s", "--anchor", "--n", "--n-grid", "--epsilon", "--budget",
               "--out"}, ["--seed", "3"]),
-    ("fit", {"--spec", "--mode", "--s", "--anchor", "--n-grid", "--epsilon", *BUDGETS,
+    ("fit", {"--spec", "--mode", "--s", "--anchor", "--n-grid", "--epsilon", "--budget",
              "--out"}, ["--n", "8"]),
-    ("check", {"--spec", "--s", "--anchor", "--n", "--n-grid", "--seed",
-               "--budget-compositions", "--out"}, ["--epsilon", "0.2"]),
+    ("check", {"--spec", "--s", "--anchor", "--n", "--n-grid", "--seed", "--budget", "--out"},
+     ["--epsilon", "0.2"]),
 ])
 def test_each_command_takes_only_the_options_it_reads(workdir, capsys, command, options,
                                                        dropped):
-    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    defined = {s for a in sub.choices[command]._actions for s in a.option_strings}
-    assert defined - {"-h", "--help"} == options
-    argv = [command, "--spec", str(workdir / "bern.spec"), *dropped]
-    if command in ("encode", "decode"):
-        argv += [str(workdir / "in"), str(workdir / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {dropped[0]}" in capsys.readouterr().err
+    assert _options(_subparsers()[command]) == options
+    # no command takes a per-mode budget flag
+    for flags in (dropped, ["--budget-compositions", "1"], ["--budget-paths", "1"]):
+        argv = [command, "--spec", str(workdir / "bern.spec"), *flags]
+        if command in ("encode", "decode"):
+            argv += [str(workdir / "in"), str(workdir / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
+def test_readme_options_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+    parsers = _subparsers()
+    documented = {cmd: set(re.findall(r"`(--[\w-]+)`", text))
+                  for cmd, text in rows if cmd in parsers}
+    assert documented == {cmd: _options(p) for cmd, p in parsers.items()}
 
 
 def test_cli_import_does_not_load_scipy():

@@ -204,15 +204,15 @@ class TestMarkovTypeIndex:
         idx = markov_type_index(circulant3, 6, Grid.create(n=6, s=1.0, d=2))
         assert sum(idx.sizes) == 3 ** 6
 
-    def test_budget_error_suggests_montecarlo(self, flip_markov):
-        with pytest.raises(BudgetError, match="--budget-paths"):
-            markov_type_index(flip_markov, 24, Grid.create(n=24, s=1.0, d=1),
-                              budget_paths=1000)
+    def test_budget_error_suggests_raising_the_budget(self, flip_markov):
+        with pytest.raises(BudgetError,
+                           match=r"2\^24 items but the budget is 1000 \(raise --budget\)"):
+            markov_type_index(flip_markov, 24, Grid.create(n=24, s=1.0, d=1), budget=1000)
 
     def test_budget_rejects_huge_n_without_forming_the_power(self, flip_markov):
         n = 10 ** 6
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=r"2\^1000000 .*--budget-paths"):
+        with pytest.raises(BudgetError, match=r"2\^1000000 .*--budget\)"):
             markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))
         assert time.perf_counter() - start < 1.0
 

@@ -197,7 +197,7 @@ class TestBuildTypeIndex:
                     assert np.array_equal(idx.keys[idx.member_class], ref), (fam.tau, n, s)
 
     def test_budget_error_names_budget(self, ternary):
-        with pytest.raises(BudgetError, match="budget is 10"):
+        with pytest.raises(BudgetError, match=r"budget is 10 \(raise --budget\)"):
             build_type_index(ternary, 10, Grid.create(n=10, s=1.0, d=2), budget=10)
 
 

@@ -34,7 +34,7 @@ from tscode.markov import (
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_class_of, point_type_index
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import SourceSpec, class_masses
-from tscode.typeclass import check_composition_budget, composition_array, group_rows, multinomial
+from tscode.typeclass import check_budget, composition_array, group_rows, multinomial
 
 MAX_N = {2: 7, 3: 7, 4: 5}
 
@@ -264,17 +264,17 @@ def test_member_ids_stay_int32_whatever_the_budget(bernoulli, ternary, sqrt2_fam
                                                     sqrt2_statmap, flip_markov):
     # refused before any enumeration, so nothing is allocated here
     budget = 2 ** 40
-    assert check_composition_budget(2 ** 31 - 2, 2, budget) == 2 ** 31 - 1
+    check_budget("composition enumeration", 2 ** 31 - 1, budget)
     lmap = derive_lattice(sqrt2_statmap)
     n = 65535  # C(n + 2, 2) = 2^31 + 2^15 ternary compositions
     calls = [
-        lambda: check_composition_budget(2 ** 31 - 1, 2, budget),
+        lambda: check_budget("composition enumeration", 2 ** 31, budget),
         lambda: build_type_index(bernoulli, 2 ** 31 - 1,
                                  Grid.create(n=2 ** 31 - 1, s=1.0, d=1), budget=budget),
         lambda: build_type_index(ternary, n, Grid.create(n=n, s=1.0, d=2), budget=budget),
         lambda: point_type_index(sqrt2_family, lmap, n, budget=budget),
         lambda: markov_type_index(flip_markov, 31, Grid.create(n=31, s=1.0, d=1),
-                                  budget_paths=budget),
+                                  budget=budget),
     ]
     for call in calls:
         with pytest.raises(BudgetError, match=r"budget is 1099511627776 \(member ids are int32"):
