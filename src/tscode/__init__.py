@@ -7,7 +7,7 @@ also evaluates exact finite-blocklength coding rates and reproduces the
 third-order excess-rate slopes at desk scale.
 """
 
-from .codec import ClassOrdering, Codeword, index_of_string, string_of_index
+from .codec import ClassOrdering, Codeword
 from .errors import BudgetError, ContainerError, SchemaError, SpecError
 from .family import (
     Alphabet,

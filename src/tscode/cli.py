@@ -10,6 +10,7 @@ given their configuration and seed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import os
 import sys
@@ -91,6 +92,10 @@ def _build_config(args) -> RunConfig:
     s = opts.get("s")
     if s is not None and (s <= 0 or not math.isfinite(s)):
         problems.append(f"grid scale s must be positive, got {s}")
+    # point classes use no grid (check has no --mode: it reads --s on any spec)
+    given = [f for f, v in (("--s", s), ("--anchor", opts.get("anchor"))) if v is not None]
+    if mode == "point" and "mode" in opts and given:
+        problems.append(f"mode point uses no grid, so it takes no {' or '.join(given)}")
     anchor = None
     try:
         anchor = _parse_anchor(opts.get("anchor"))
@@ -127,7 +132,8 @@ def _build_config(args) -> RunConfig:
     if problems:
         raise SchemaError("invalid configuration:\n  " + "\n  ".join(problems))
     return RunConfig(
-        spec=spec, mode=mode, s=s, anchor=anchor, n_list=n_list,
+        spec=spec, mode=mode, s=1.0 if s is None and "s" in opts else s,
+        anchor=anchor, n_list=n_list,
         epsilon=epsilon, seed=opts.get("seed"),
         budget=budget,
         out=Path(opts["out"]) if opts.get("out") else None,
@@ -266,11 +272,14 @@ def cmd_rate(args) -> int:
         rows.append(m_eps(_source_of(cfg), index, cfg.epsilon))
     print(f"{'n':>6} {'epsilon':>8} {'gamma':>12} {'rate':>10}  M")
     for rep in rows:
-        print(f"{rep.n:>6} {rep.epsilon:>8.4f} {rep.gamma:>12.6f} {rep.rate:>10.6f}  {rep.M}")
+        # M through Decimal, which has no 4,300-digit cap (kept on for input)
+        M = decimal.Decimal(rep.M)
+        print(f"{rep.n:>6} {rep.epsilon:>8.4f} {rep.gamma:>12.6f} {rep.rate:>10.6f}  {M}")
     if cfg.out:
         fields = [("mode", rows[0].mode), ("epsilon", repr(cfg.epsilon))]
         for rep in rows:
-            fields.append(("result", f"n={rep.n} gamma={rep.gamma!r} M={rep.M} rate={rep.rate!r}"))
+            fields.append(("result", f"n={rep.n} gamma={rep.gamma!r} M={decimal.Decimal(rep.M)} "
+                                     f"rate={rep.rate!r}"))
         _atomic_write(cfg.out / "rate_report.txt", render_report("rate", fields))
         print(f"wrote {cfg.out / 'rate_report.txt'}")
     return 0
@@ -347,7 +356,8 @@ _ARGUMENTS = {
     "--spec": dict(required=True, help="model spec file"),
     "--mode": dict(choices=["quantized", "point", "markov"],
                    help="type-class mode (default: from spec kind)"),
-    "--s": dict(type=float, default=1.0, help="cuboid side scale"),
+    # no parser default: point mode must tell a given --s from none
+    "--s": dict(type=float, help="cuboid side scale (default 1.0)"),
     "--anchor": dict(help="grid anchor, comma-separated"),
     "--n": dict(type=int, help="blocklength"),
     "--n-grid": dict(help="comma-separated blocklengths"),

@@ -4,14 +4,16 @@ Sequences are ranked by ascending exact type-class size (ties broken by the
 lexicographic class key), then mapped onto the canonical binary-string
 enumeration {empty, 0, 1, 00, 01, 10, 11, 000, ...} in which the k-th string
 has length floor(log2(k+1)). The code is one-to-one but not prefix-free.
+The sequence of rank k gets the k-th string, so a codeword is carried as the
+integer k; only the container file and displays form its bits.
 
 Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
 system indexing); Markov classes order member paths lexicographically. The
 rank inside a composition is summed by binary splitting from
 ``typeclass.SPLIT_MIN_N`` symbols on. A rank and an unrank both read the
-member's exact size from the layout and hand it to ``rank_in_composition``
-or to the one-pass ``unrank_in_composition``.
+member's exact size from the layout and hand it, with the counts taken when
+the sequence was checked, to ``rank_counted`` or to ``unrank_in_composition``.
 
 A rank is enumerative (Cover 1973): the count of sequences in the members
 before a sequence's member, in the index's grouped layout, plus its rank
@@ -37,34 +39,29 @@ BLOCK = 64  # layout positions between two exact checkpoints
 
 @dataclass(frozen=True)
 class Codeword:
-    bits: str
+    """The k-th string of the enumeration {empty, 0, 1, 00, ...}, held as its
+    ``index`` k; ``bits``, of ``length`` floor(log2(k+1)), is for display."""
+
+    index: int
 
     def __post_init__(self):
-        if self.bits.strip("01"):
-            raise ValueError(f"codeword must contain only 0/1, got {self.bits!r}")
+        if operator.index(self.index) < 0:
+            raise ValueError("codeword index must be nonnegative")
 
     @property
     def length(self) -> int:
-        return len(self.bits)
+        return (self.index + 1).bit_length() - 1
 
+    @property
+    def bits(self) -> str:
+        return bin(self.index + 1)[3:]  # k + 1 in binary without its leading 1
 
-def string_of_index(k: int) -> Codeword:
-    """k-th string of the enumeration; length floor(log2(k+1))."""
-    if k < 0:
-        raise ValueError("string index must be nonnegative")
-    width = (k + 1).bit_length() - 1
-    if width == 0:
-        return Codeword("")
-    value = k + 1 - (1 << width)
-    return Codeword(format(value, f"0{width}b"))
-
-
-def index_of_string(bits: str) -> int:
-    """Inverse of string_of_index: 2^len - 1 + value(bits)."""
-    if bits.strip("01"):
-        raise ValueError(f"bit string must contain only 0/1, got {bits!r}")
-    value = int(bits, 2) if bits else 0
-    return (1 << len(bits)) - 1 + value
+    @classmethod
+    def from_bits(cls, bits: str) -> Codeword:
+        """The codeword whose string is ``bits``: index 2^len - 1 + value(bits)."""
+        if bits.strip("01"):
+            raise ValueError(f"codeword must contain only 0/1, got {bits!r}")
+        return cls(int("1" + bits, 2) - 1)
 
 
 class ClassOrdering:
@@ -110,12 +107,11 @@ class ClassOrdering:
         return self.index.sequence_of(int(self.index.members[pos]), k, size)
 
     def encode(self, xs) -> Codeword:
-        return string_of_index(self.rank(xs))
+        return Codeword(self.rank(xs))
 
     def decode(self, codeword: Codeword) -> tuple[int, ...]:
-        idx = index_of_string(codeword.bits)
-        if idx >= self.total:
+        if codeword.index >= self.total:
             raise ContainerError(
-                f"codeword index {idx} is outside the {self.total} sequences at n={self.index.n}"
+                f"a {codeword.length}-bit codeword is past the last sequence at n={self.index.n}"
             )
-        return self.unrank(idx)
+        return self.unrank(codeword.index)

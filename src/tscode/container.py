@@ -5,6 +5,8 @@ Layout (big-endian):
   1 point, 2 markov) | s as IEEE-754 double | anchor length u16 | anchor
   doubles | x0 u16 (markov only) | n u32 | codeword bit length u64 |
   codeword bits packed MSB-first, zero-padded to a byte boundary.
+A codeword arrives as its index k; the k-th string of {empty, 0, 1, 00, ...}
+has w = floor(log2(k+1)) bits and value k + 1 - 2^w, and only the file holds them.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ def pack(container: Container) -> bytes:
             raise ContainerError("markov containers require x0")
         out += struct.pack(">H", container.x0)
     out += struct.pack(">I", container.n)
-    bits = container.codeword.bits
-    out += struct.pack(">Q", len(bits))
-    if bits:
-        out += (int(bits, 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
+    width = container.codeword.length
+    value = container.codeword.index + 1 - (1 << width)
+    out += struct.pack(">Q", width)
+    out += (value << (-width % 8)).to_bytes((width + 7) // 8, "big")
     return bytes(out)
 
 
@@ -94,6 +96,5 @@ def unpack(data: bytes) -> Container:
     value = int.from_bytes(raw, "big")
     if value & ((1 << pad) - 1):
         raise ContainerError("nonzero padding bits in final byte")
-    bits = format(value >> pad, f"0{bitlen}b") if bitlen else ""
     return Container(spec_hash=spec_hash, mode=mode, s=s, anchor=anchor,
-                     x0=x0, n=n, codeword=Codeword(bits))
+                     x0=x0, n=n, codeword=Codeword((1 << bitlen) - 1 + (value >> pad)))

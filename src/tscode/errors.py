@@ -13,12 +13,13 @@ class BudgetError(RuntimeError):
     """An enumeration exceeded its configured budget (CLI exit code 4)."""
 
     def __init__(self, what: str, needed: int | str, budget: int, hint: str = ""):
+        if isinstance(needed, int) and needed.bit_length() > 64:
+            # a long decimal reads as noise, and past 4,300 digits is refused
+            needed = f"at least 2^{needed.bit_length() - 1}"
         msg = f"{what} requires {needed} items but the budget is {budget}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)
-        self.needed = needed
-        self.budget = budget
 
 
 class ContainerError(ValueError):

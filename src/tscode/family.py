@@ -35,16 +35,16 @@ class Alphabet:
         if not isinstance(self.size, int) or self.size < 2:
             raise SpecError(f"alphabet size must be an integer >= 2, got {self.size!r}")
 
-    def indices(self, xs: Iterable[int]) -> np.ndarray:
-        """0-based indices of a nonempty sequence of symbols in 1..size."""
+    def indices(self, xs: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """0-based indices of a nonempty sequence of symbols in 1..size, and their counts."""
         idx = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs)
         if idx.size == 0:
             raise ValueError("empty sequence")
-        if idx.dtype.kind not in "iu":
+        if idx.dtype.kind not in "iu" or idx.ndim != 1:
             raise ValueError("sequence symbols must be integers")
         if idx.min() < 1 or idx.max() > self.size:
             raise ValueError(f"sequence contains symbols outside 1..{self.size}")
-        return idx - 1
+        return idx - 1, np.bincount(idx, minlength=self.size + 1)[1:].tolist()
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,13 @@ def psi(spec: FamilySpec, theta) -> float:
 
 def suffstat(spec: FamilySpec, xs) -> np.ndarray:
     """Per-sequence average statistic (1/n) sum_i tau(x_i)."""
-    idx = spec.alphabet.indices(xs)
+    idx = spec.alphabet.indices(xs)[0]
     return spec.tau_array[idx].mean(axis=0)
 
 
 def seq_log_prob(spec: FamilySpec, theta, xs) -> float:
     """log2 probability of the sequence: n(<theta, tau(x^n)> - psi(theta))."""
-    idx = spec.alphabet.indices(xs)
+    idx = spec.alphabet.indices(xs)[0]
     ev = evaluate(spec, theta)
     stat = spec.tau_array[idx].mean(axis=0)
     return len(idx) * (float(np.dot(ev.theta, stat)) - ev.psi)

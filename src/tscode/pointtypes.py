@@ -234,7 +234,7 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
 
 def point_class_of(lmap: LatticeMap, spec: FamilySpec, xs) -> LatticePoint:
     """Exact integer class key: the sum of per-symbol lattice vectors."""
-    idx = spec.alphabet.indices(xs)
+    idx = spec.alphabet.indices(xs)[0]
     scaled = lmap.L_array[idx].sum(axis=0)
     return LatticePoint(scaled=tuple(int(v) for v in scaled), n=len(idx))
 

@@ -126,7 +126,7 @@ def r_of(spec: FamilySpec, grid: Grid, xs) -> float:
     -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s, with theta_c the
     likelihood maximizer at the center."""
     stat = suffstat(spec, xs)
-    n = len(spec.alphabet.indices(xs))
+    n = len(spec.alphabet.indices(xs)[0])
     if grid.n != n:
         raise SpecError(f"grid built for n={grid.n}, sequence has n={n}")
     theta_c = _cell_mle(spec, grid, cuboid_center_of(grid, stat))

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import BudgetError
 
 DEFAULT_COMPOSITION_BUDGET = 5_000_000
-SPLIT_MIN_N = 192  # rank_in_composition splits from this many symbols on
+SPLIT_MIN_N = 192  # rank_counted splits from this many symbols on
 SPLIT_RUNS = 16  # runs left for the exact fold that ends a split rank
 MAX_MEMBERS = 2 ** 31 - 1  # member ids, bounds and member classes are int32
 ID_LIMIT_HINT = "member ids are int32, so an index holds fewer than 2^31 members whatever the budget"
@@ -161,14 +161,17 @@ def rank_in_composition(counts: Sequence[int], sym_idx, size: int | None = None)
     """Lexicographic index of a sequence (0-based symbols, a list or 1-D
     integer array) among the permutations of its multiset ``counts``;
     ``size`` is their number, the multinomial of the counts, when the caller
-    already holds it.
-
-    Short sequences take the per-symbol loop; from ``SPLIT_MIN_N`` symbols on
-    the rank is summed by binary splitting, which gives the same integer.
-    """
+    already holds it."""
     seq = np.asarray(sym_idx, dtype=np.int64)
     if seq.ndim != 1 or np.bincount(seq, minlength=len(counts)).tolist() != list(counts):
         raise ValueError(f"counts {list(counts)} do not match the sequence")
+    return rank_counted(counts, seq, size)
+
+
+def rank_counted(counts: Sequence[int], seq: np.ndarray, size: int | None = None) -> int:
+    """``rank_in_composition`` of a 1-D integer array whose counts the caller
+    took: short sequences take the per-symbol loop; from ``SPLIT_MIN_N``
+    symbols on the rank is summed by binary splitting, the same integer."""
     if len(seq) < SPLIT_MIN_N:
         return rank_per_symbol(counts, seq.tolist(), size)
     return rank_binary_split(counts, seq, size)
@@ -247,8 +250,10 @@ def _join_pairs(T: np.ndarray, P: np.ndarray, Q: np.ndarray):
     return T[0::2] * Q[1::2] + P[0::2] * T[1::2], P[0::2] * P[1::2], Q[0::2] * Q[1::2]
 
 
-def unrank_in_composition(counts: Sequence[int], k: int, size: int | None = None) -> list[int]:
-    """The sequence at rank ``k`` among the permutations of ``counts``;
+def unrank_in_composition(counts: Sequence[int], k: int,
+                          size: int | None = None) -> tuple[int, ...]:
+    """The sequence at rank ``k`` among the permutations of ``counts``, in
+    symbols 1..m (``counts[j]`` counts symbol j + 1, index j of a rank);
     ``size`` is their number, the multinomial of the counts, when the caller
     already holds it."""
     k = operator.index(k)
@@ -259,7 +264,7 @@ def unrank_in_composition(counts: Sequence[int], k: int, size: int | None = None
         raise ValueError(f"rank {k} outside [0, {size})")
     out = []
     for remaining in range(sum(rem_counts), 0, -1):
-        y = 0
+        y = 1
         for c in rem_counts:
             if c:
                 block = size * c // remaining
@@ -268,9 +273,9 @@ def unrank_in_composition(counts: Sequence[int], k: int, size: int | None = None
                 k -= block
             y += 1
         out.append(y)
-        rem_counts[y] -= 1
+        rem_counts[y - 1] -= 1
         size = block
-    return out
+    return tuple(out)
 
 
 def pack_path(alphabet_size: int, sym_idx) -> int:
@@ -477,40 +482,37 @@ class TypeIndex:
         columns = ClassColumns(self)
         return tuple(TypeClass(columns, c) for c in range(len(self.bounds) - 1))
 
-    def _member(self, xs) -> tuple[np.ndarray, int]:
-        """The symbol indices of a length-n sequence and the member holding it."""
-        idx = self.spec.alphabet.indices(xs)
+    def _member(self, xs) -> tuple[np.ndarray, list[int], int]:
+        """A length-n sequence's symbol indices, their counts, and its member."""
+        idx, counts = self.spec.alphabet.indices(xs)
         if len(idx) != self.n:
             raise ValueError(f"sequence length {len(idx)} does not match index n={self.n}")
         if self.mode == "markov":
-            return idx, pack_path(self.alphabet_size, idx.tolist())
-        return idx, colex_rank(np.bincount(idx, minlength=self.alphabet_size).tolist())
+            return idx, counts, pack_path(self.alphabet_size, idx.tolist())
+        return idx, counts, colex_rank(counts)
 
     def locate(self, xs) -> tuple[int, int]:
         """The layout position of the member holding a length-n sequence, and
         the sequence's rank in that member (given the member's exact size)."""
-        idx, member = self._member(xs)
+        idx, counts, member = self._member(xs)
         c = int(self.member_class[member])
         lo, hi = self.bounds[c], self.bounds[c + 1]
         pos = int(lo + np.searchsorted(self.members[lo:hi], member))
         if self.mode == "markov":
             return pos, 0
-        counts = self.member_stats[member].tolist()
-        return pos, rank_in_composition(counts, idx, self.grouped_sizes[pos])
+        return pos, rank_counted(counts, idx, self.grouped_sizes[pos])
 
     def sequence_of(self, member: int, within: int, size: int | None = None) -> tuple[int, ...]:
         """The 1-based sequence at rank ``within`` in a member, the inverse of
         ``locate``; ``size`` is the member's exact sequence count, when the
         caller holds it."""
         if self.mode == "markov":
-            digits = unpack_path(self.alphabet_size, member, self.n)
-        else:
-            digits = unrank_in_composition(self.member_stats[member].tolist(), within, size)
-        return tuple(y + 1 for y in digits)
+            return tuple(y + 1 for y in unpack_path(self.alphabet_size, member, self.n))
+        return unrank_in_composition(self.member_stats[member].tolist(), within, size)
 
     def class_of(self, xs) -> int:
         """The id of the class holding a length-n sequence; no rank is computed."""
-        return int(self.member_class[self._member(xs)[1]])
+        return int(self.member_class[self._member(xs)[2]])
 
 
 def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:

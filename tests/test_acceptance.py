@@ -16,7 +16,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from tscode.codec import ClassOrdering, string_of_index
+from tscode.codec import ClassOrdering, Codeword
 from tscode.family import FamilySpec, entropy, evaluate, mle, psi
 from tscode.markov import (
     MarkovFamilySpec,
@@ -66,7 +66,7 @@ def test_criterion_1_codec_bijectivity():
         seen = set()
         for xs in product(range(1, m + 1), repeat=n):
             r = ordering.rank(xs)
-            cw = string_of_index(r)
+            cw = Codeword(r)
             if ordering.unrank(r) != xs or ordering.decode(cw) != xs:
                 failures += 1
             seen.add(r)

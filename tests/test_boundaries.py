@@ -6,6 +6,7 @@ either unpack or raise ContainerError. Neither may end in another exception
 """
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,7 +106,7 @@ class TestSpecText:
 def _container(mode, bits, anchor, n, s):
     return containerfmt.Container(
         spec_hash=bytes(range(32)), mode=mode, s=s, anchor=tuple(anchor),
-        x0=2 if mode == "markov" else None, n=n, codeword=Codeword(bits))
+        x0=2 if mode == "markov" else None, n=n, codeword=Codeword.from_bits(bits))
 
 
 containers = st.builds(
@@ -150,3 +151,41 @@ class TestContainerBytes:
             assert isinstance(containerfmt.unpack(data), containerfmt.Container)
         except ContainerError:
             pass
+
+
+def _reference_pack(c: containerfmt.Container) -> bytes:
+    """TSZ1 laid out as the container module's docstring says, from the
+    codeword as a bit string: the k-th string of {empty, 0, 1, 00, ...} has
+    w = floor(log2(k+1)) bits and value k + 1 - 2^w."""
+    k = c.codeword.index
+    width = (k + 1).bit_length() - 1
+    bits = format(k + 1 - (1 << width), f"0{width}b") if width else ""
+    out = b"TSZ1" + c.spec_hash + bytes([containerfmt.MODE_BYTES[c.mode]])
+    out += struct.pack(">dH", c.s, len(c.anchor))
+    out += b"".join(struct.pack(">d", a) for a in c.anchor)
+    if c.mode == "markov":
+        out += struct.pack(">H", c.x0)
+    out += struct.pack(">IQ", c.n, len(bits))
+    padded = bits + "0" * (-len(bits) % 8)
+    return out + bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
+
+
+def _widths_and_indices():
+    """Indices of codeword lengths 0-70 (the first, last and a middle index of
+    each length) and of 790, 1,600 and 15,000 bits (790 is ternary n = 512)."""
+    for width in [*range(71), 790, 1600, 15000]:
+        first, last = (1 << width) - 1, (1 << (width + 1)) - 2
+        for k in {first, last, first + (0x5A5A5A5A5A5A5A5A5A5A % (last - first + 1))}:
+            yield width, k
+
+
+class TestTsz1Bytes:
+    @pytest.mark.parametrize("mode", sorted(containerfmt.MODE_BYTES))
+    def test_pack_matches_the_bit_string_reference(self, mode):
+        for width, k in _widths_and_indices():
+            c = replace(_container(mode, "", (0.5, -2.0), 7, 1.5), codeword=Codeword(k))
+            data = containerfmt.pack(c)
+            assert data == _reference_pack(c)
+            assert c.codeword.length == width
+            assert containerfmt.unpack(data) == c
+            assert Codeword.from_bits(c.codeword.bits) == c.codeword

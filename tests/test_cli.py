@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import math
 import os
 import re
@@ -145,19 +146,19 @@ class TestContainerFormat:
     def test_round_trip(self):
         c = containerfmt.Container(
             spec_hash=bytes(range(32)), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=10, codeword=Codeword("10110"))
+            anchor=(0.0,), x0=None, n=10, codeword=Codeword.from_bits("10110"))
         assert containerfmt.unpack(containerfmt.pack(c)) == c
 
     def test_markov_round_trip(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="markov", s=2.0,
-            anchor=(0.5,), x0=1, n=12, codeword=Codeword(""))
+            anchor=(0.5,), x0=1, n=12, codeword=Codeword.from_bits(""))
         assert containerfmt.unpack(containerfmt.pack(c)) == c
 
     def test_truncation_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="point", s=0.0,
-            anchor=(), x0=None, n=4, codeword=Codeword("11"))
+            anchor=(), x0=None, n=4, codeword=Codeword.from_bits("11"))
         data = containerfmt.pack(c)
         with pytest.raises(ContainerError, match="truncated"):
             containerfmt.unpack(data[:-1])
@@ -169,14 +170,37 @@ class TestContainerFormat:
     def test_trailing_bytes_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=4, codeword=Codeword("1"))
+            anchor=(0.0,), x0=None, n=4, codeword=Codeword.from_bits("1"))
         with pytest.raises(ContainerError, match="trailing"):
             containerfmt.unpack(containerfmt.pack(c) + b"\x00")
+
+    # `tscode encode` output, captured before codewords were held as integers
+    @pytest.mark.parametrize("spec_file, mode, symbols, hexdata", [
+        ("tern.spec", "quantized", [(i * i + i // 2) % 3 + 1 for i in range(40)],
+         "54535a313813e35c1c2446bdebad308b61d5f6405349c85517172e7deba92070509550"
+         "4e003ff000000000000000020000000000000000000000000000000000000028000000"
+         "000000003b25b8597a98ab0d60"),
+        ("sqrt2.spec", "point", [(i * 7 % 5) % 3 + 1 for i in range(30)],
+         "54535a3135d24c82f4ab6d0caba1f9b33924441a0a237c747216acff22fa75182e9683"
+         "6401000000000000000000000000001e000000000000002d98b6fd305540"),
+        ("flip.spec", "markov", [(i // 3) % 2 + 1 for i in range(12)],
+         "54535a31f9365ceaf89fd3fc4a961a93b4e982300576434e2ca5fc2966ba895d3f5bbb"
+         "b6023ff00000000000000001000000000000000000010000000c0000000000000007cc"),
+    ], ids=["quantized", "point", "markov"])
+    def test_encode_output_is_pinned(self, workdir, spec_file, mode, symbols, hexdata):
+        seq = workdir / "seq.txt"
+        seq.write_text(" ".join(map(str, symbols)) + "\n")
+        cont, out = workdir / "seq.tsz", workdir / "seq.out"
+        spec = str(workdir / spec_file)
+        assert main(["encode", "--spec", spec, "--mode", mode, str(seq), str(cont)]) == 0
+        assert cont.read_bytes().hex() == hexdata
+        assert main(["decode", "--spec", spec, "--mode", mode, str(cont), str(out)]) == 0
+        assert out.read_bytes() == seq.read_bytes()
 
     def test_nonzero_padding_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=4, codeword=Codeword("1"))
+            anchor=(0.0,), x0=None, n=4, codeword=Codeword.from_bits("1"))
         data = bytearray(containerfmt.pack(c))
         data[-1] |= 0x01
         with pytest.raises(ContainerError, match="padding"):
@@ -251,20 +275,24 @@ class TestEncodeDecodeCommands:
         self._round_trip(workdir, str(workdir / "flip.spec"), "markov",
                          rng.integers(1, 3, size=10))
 
-    def test_point_container_ignores_grid_options(self, workdir):
-        # point classes use no grid: --s and --anchor leave the bytes unchanged
+    def test_point_mode_refuses_grid_options(self, workdir, capsys):
+        # point classes use no grid, so a given --s or --anchor is an error
         seq = workdir / "seq.txt"
         seq.write_text("1 3 2 2 1 3 3 1 2 1\n")
         spec = str(workdir / "sqrt2.spec")
-        blobs = []
-        for extra in ([], ["--anchor", "1.5"], ["--s", "3", "--anchor", "0.25"]):
-            cont = workdir / f"point{len(blobs)}.tsz"
-            assert main(["encode", "--spec", spec, "--mode", "point", *extra,
-                         str(seq), str(cont)]) == 0
-            blobs.append(cont.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
-        parsed = containerfmt.unpack(blobs[0])
+        cont = workdir / "point.tsz"
+        for extra in (["--anchor", "1.5"], ["--s", "1"], ["--s", "3", "--anchor", "0.25"]):
+            for argv in (["encode", str(seq), str(cont)], ["rate", "--n", "8"],
+                         ["fit", "--n-grid", "4,8,16"]):
+                assert main([argv[0], "--spec", spec, "--mode", "point", *extra, *argv[1:]]) == 2
+                err = capsys.readouterr().err
+                assert "mode point uses no grid" in err and extra[0] in err
+        assert not cont.exists()
+        assert main(["encode", "--spec", spec, "--mode", "point", str(seq), str(cont)]) == 0
+        parsed = containerfmt.unpack(cont.read_bytes())
         assert parsed.s == 0.0 and parsed.anchor == ()
+        # check has no --mode: its quantized checks read --s on a point spec too
+        assert main(["check", "--spec", spec, "--n-grid", "4,8", "--s", "2"]) == 0
 
     @pytest.mark.parametrize("spec_text, mode, symbols", [
         (BERN_SPEC.replace("theta_star 1.2223924213364479", "theta_star 5"),
@@ -311,7 +339,7 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=2 ** 32 - 1, codeword=Codeword("101"), **header)))
+            n=2 ** 32 - 1, codeword=Codeword.from_bits("101"), **header)))
         start = time.perf_counter()
         assert main(["decode", "--spec", str(spec), "--mode", mode,
                      str(cont), str(workdir / "never.txt")]) == 4
@@ -329,7 +357,7 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=n, codeword=Codeword("101"), **header)))
+            n=n, codeword=Codeword.from_bits("101"), **header)))
         assert main(["decode", "--spec", str(spec), "--mode", mode, "--budget", str(2 ** 40),
                      str(cont), str(workdir / "never.txt")]) == 4
         assert "member ids are int32" in capsys.readouterr().err
@@ -345,10 +373,22 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=0, codeword=Codeword(""), **header)))
+            n=0, codeword=Codeword.from_bits(""), **header)))
         assert main(["decode", "--spec", str(spec), "--mode", mode,
                      str(cont), str(workdir / "never.txt")]) == 5
         assert "container blocklength n=0" in capsys.readouterr().err
+        assert not (workdir / "never.txt").exists()
+
+    def test_codeword_past_the_last_sequence_exits_5(self, workdir, capsys):
+        # 15,000 bits at n = 1: the message names the width, not the index
+        spec = workdir / "tern.spec"
+        cont = workdir / "forged.tsz"
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode="quantized", s=1.0,
+            anchor=(0.0, 0.0), x0=None, n=1, codeword=Codeword((1 << 15000) + 12345))))
+        assert main(["decode", "--spec", str(spec), "--mode", "quantized",
+                     str(cont), str(workdir / "never.txt")]) == 5
+        assert "a 15000-bit codeword is past the last sequence at n=1" in capsys.readouterr().err
         assert not (workdir / "never.txt").exists()
 
     def test_decode_into_directory_exits_1_without_temp_files(self, workdir, capsys):
@@ -492,6 +532,29 @@ class TestRateFitCheckCommands:
         assert (outdir / "rate_report.txt").read_text().splitlines() == [
             "tscode-report 1", "command rate", "mode quantized", "epsilon 0.4",
             *(f"result n={r.n} gamma={r.gamma!r} M={r.M} rate={r.rate!r}" for r in reps)]
+
+    def test_rate_prints_M_exactly_at_any_size(self, workdir, capsys):
+        # M at binary n = 20000 has over 5,000 digits, past the interpreter's
+        # 4,300-digit cap on int-to-decimal conversion
+        spec = parse_spec_text(BERN_SPEC)
+        M = m_eps(SourceSpec(spec.family, spec.theta_star),
+                  build_index(spec.family, "quantized", 20000), 0.1).M
+        outdir = workdir / "rate"
+        assert main(["rate", "--spec", str(workdir / "bern.spec"), "--n", "20000",
+                     "--out", str(outdir)]) == 0
+        printed = capsys.readouterr().out.splitlines()[1].split()[-1]
+        assert decimal.Decimal(printed) == M and len(printed) > 4300
+        report = (outdir / "rate_report.txt").read_text()
+        assert f" M={printed} " in report
+
+    def test_huge_enumeration_exits_4_with_a_bounded_count(self, workdir, capsys):
+        # C(10^6 + 1499, 1499) compositions: a count of 16,221 bits
+        spec = workdir / "wide.spec"
+        spec.write_text("alphabet_size 1500\nd 1\n" + "".join(f"tau {i}\n" for i in range(1500))
+                        + "rho_max 3\ntheta_star 0.001\n")
+        assert main(["rate", "--spec", str(spec), "--n", "1000000"]) == 4
+        assert ("composition enumeration requires at least 2^16220 items but the budget is "
+                "5000000") in capsys.readouterr().err
 
     def test_fit_band_and_outputs(self, workdir, capsys):
         outdir = workdir / "fit"

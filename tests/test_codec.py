@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscode import typeclass
-from tscode.codec import BLOCK, ClassOrdering, Codeword, index_of_string, string_of_index
+from tscode.codec import BLOCK, ClassOrdering, Codeword
 from tscode.errors import ContainerError
 from tscode.markov import markov_type_index
 from tscode.pointtypes import derive_lattice, point_type_index
@@ -28,32 +28,34 @@ class TestStringEnumeration:
     def test_first_elements(self):
         # the enumeration starts empty, 0, 1, 00, 01, 10, 11, 000, ...
         expected = ["", "0", "1", "00", "01", "10", "11", "000"]
-        assert [string_of_index(k).bits for k in range(8)] == expected
+        assert [Codeword(k).bits for k in range(8)] == expected
 
     def test_paper_indexed_examples(self):
-        assert string_of_index(0).bits == ""
-        assert string_of_index(3).bits == "00"
-        assert string_of_index(6).bits == "11"
+        assert Codeword(0).bits == ""
+        assert Codeword(3).bits == "00"
+        assert Codeword(6).bits == "11"
 
     def test_length_law(self):
         for k in range(2000):
-            assert string_of_index(k).length == math.floor(math.log2(k + 1))
+            assert Codeword(k).length == len(Codeword(k).bits) == math.floor(math.log2(k + 1))
 
     def test_mutual_inverse_formula(self):
-        assert index_of_string("101") == 2 ** 3 - 1 + 5
+        assert Codeword.from_bits("101") == Codeword(2 ** 3 - 1 + 5)
 
     @given(st.integers(min_value=0, max_value=10 ** 18))
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, k):
-        assert index_of_string(string_of_index(k).bits) == k
+        assert Codeword.from_bits(Codeword(k).bits).index == k
 
     def test_round_trip_dense(self):
         for k in range(100_000):
-            assert index_of_string(string_of_index(k).bits) == k
+            assert Codeword.from_bits(Codeword(k).bits).index == k
 
     def test_codeword_validation(self):
         with pytest.raises(ValueError):
-            Codeword("01x")
+            Codeword.from_bits("01x")
+        with pytest.raises(ValueError):
+            Codeword(-1)
 
 
 class TestCompositionRanking:
@@ -62,7 +64,7 @@ class TestCompositionRanking:
     def test_round_trip(self, seq):
         counts = [seq.count(v) for v in range(3)]
         r = rank_in_composition(counts, seq)
-        assert unrank_in_composition(counts, r) == seq
+        assert unrank_in_composition(counts, r) == tuple(v + 1 for v in seq)
 
     def test_lexicographic_order(self):
         counts = (2, 2)
@@ -91,7 +93,7 @@ class TestCompositionRanking:
         assert rank_in_composition(counts, seq) == r
         if order != "drawn":
             assert r == (0 if order == "first" else multinomial(counts) - 1)
-        assert unrank_in_composition(counts, r) == seq.tolist()
+        assert unrank_in_composition(counts, r) == tuple((seq + 1).tolist())
 
     def test_rank_rejects_counts_that_do_not_match(self):
         with pytest.raises(ValueError):
@@ -111,7 +113,7 @@ class TestCompositionRanking:
             unrank_in_composition([2, 1], 1.5)
 
     def test_unrank_takes_the_member_size(self):
-        assert unrank_in_composition([2, 1], 2, size=3) == [1, 0, 0]
+        assert unrank_in_composition([2, 1], 2, size=3) == (2, 1, 1)
         with pytest.raises(ValueError):
             unrank_in_composition([2, 1], 3, size=3)
 
@@ -198,7 +200,7 @@ class TestEncodeDecode:
 
     def test_decode_empty_string(self, bernoulli):
         o = _ordering(bernoulli, 4)
-        assert o.decode(Codeword("")) == o.unrank(0)
+        assert o.decode(Codeword.from_bits("")) == o.unrank(0)
 
     def test_round_trip_binary(self, bernoulli):
         for n in (1, 5, 9, 12):
@@ -230,7 +232,7 @@ class TestEncodeDecode:
     def test_corrupt_index_rejected(self, bernoulli):
         o = _ordering(bernoulli, 4)
         with pytest.raises(ContainerError):
-            o.decode(Codeword("10000"))  # index 2^5-1+16 = 47 >= 16
+            o.decode(Codeword.from_bits("10000"))  # index 2^5-1+16 = 47 >= 16
 
 
 class TestOrderingDeterminism:

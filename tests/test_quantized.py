@@ -231,8 +231,8 @@ class TestTypeSizeOfSequence:
         sizes = {key: keys.count(key) for key in set(keys)}
 
         def fail(*args, **kwargs):
-            raise AssertionError("rank_in_composition called")
-        monkeypatch.setattr(tscode.typeclass, "rank_in_composition", fail)
+            raise AssertionError("a rank inside the composition was computed")
+        monkeypatch.setattr(tscode.typeclass, "rank_counted", fail)
         for xs, key in zip(seqs, keys):
             assert idx.sizes[idx.class_of(xs)] == sizes[key]
         assert max(sizes.values()) > math.comb(6, 2) * math.comb(4, 2)  # merged classes
