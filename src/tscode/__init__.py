@@ -17,8 +17,6 @@ from .family import (
     evaluate,
     mle,
     psi,
-    seq_log_prob,
-    suffstat,
     varentropy,
 )
 from .markov import (
@@ -32,13 +30,10 @@ from .markov import (
 from .pointtypes import (
     ExactStatMap,
     LatticeMap,
-    LatticePoint,
     derive_lattice,
-    f0_of,
-    point_class_of,
     point_type_index,
 )
-from .quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of
+from .quantized import Grid, build_type_index
 from .rates import (
     FitReport,
     RateReport,
@@ -50,7 +45,6 @@ from .rates import (
     m_eps,
     ml_approx_check,
     normality_check,
-    overflow_prob,
     third_order_fit,
 )
 from .typeclass import TypeIndex

@@ -156,7 +156,8 @@ def _atomic_write(path: Path, data) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read_sequence(path: Path) -> tuple[int, ...]:
+def _read_sequence(path: Path, m: int) -> tuple[int, ...]:
+    """The symbols of a sequence file, each an integer in 1..m."""
     try:
         tokens = path.read_text().split()
     except OSError as exc:
@@ -164,9 +165,14 @@ def _read_sequence(path: Path) -> tuple[int, ...]:
     if not tokens:
         raise SchemaError(f"sequence file {path} is empty")
     try:
-        return tuple(int(t) for t in tokens)
+        seq = tuple(int(t) for t in tokens)
     except ValueError:
         raise SchemaError(f"sequence file {path} must contain integer symbols") from None
+    for i, x in enumerate(seq):
+        if not 1 <= x <= m:
+            raise SchemaError(f"sequence file {path}: symbol {x} at position {i + 1} "
+                              f"is outside 1..{m}")
+    return seq
 
 
 def _family(cfg: RunConfig):
@@ -209,7 +215,7 @@ def cmd_validate(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = _build_config(args)
-    seq = _read_sequence(Path(args.input))
+    seq = _read_sequence(Path(args.input), _family(cfg).alphabet.size)
     codeword = ClassOrdering(_build_index(cfg, len(seq))).encode(seq)
     ms = cfg.spec.markov
     point = cfg.mode == "point"  # point classes use no grid: s = 0, no anchor

@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ContainerError
-from .typeclass import TypeClass
+from .typeclass import TypeClass, rank_out_of_range
 
 BLOCK = 64  # layout positions between two exact checkpoints
 
@@ -95,7 +95,7 @@ class ClassOrdering:
     def unrank(self, k: int) -> tuple[int, ...]:
         k = operator.index(k)
         if not (0 <= k < self.total):
-            raise ValueError(f"rank {k} outside [0, {self.total})")
+            raise rank_out_of_range(k, self.total)
         block = bisect_right(self.marks, k) - 1
         k -= self.marks[block]
         pos = block * BLOCK

@@ -20,9 +20,11 @@ from .errors import SpecError
 LN2 = math.log(2.0)
 
 # Solver settings for the maximum-likelihood map: stop once the KKT residual
-# is below the tolerance, give up after the iteration budget.
+# is below the tolerance, give up after the iteration budget; a target that
+# ends on the sphere may lie this far (max-norm) outside the statistic hull.
 _KKT_TOL = 1e-10
 _MAX_ITER = 100
+_HULL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,20 +173,6 @@ def psi(spec: FamilySpec, theta) -> float:
     return evaluate(spec, theta).psi
 
 
-def suffstat(spec: FamilySpec, xs) -> np.ndarray:
-    """Per-sequence average statistic (1/n) sum_i tau(x_i)."""
-    idx = spec.alphabet.indices(xs)[0]
-    return spec.tau_array[idx].mean(axis=0)
-
-
-def seq_log_prob(spec: FamilySpec, theta, xs) -> float:
-    """log2 probability of the sequence: n(<theta, tau(x^n)> - psi(theta))."""
-    idx = spec.alphabet.indices(xs)[0]
-    ev = evaluate(spec, theta)
-    stat = spec.tau_array[idx].mean(axis=0)
-    return len(idx) * (float(np.dot(ev.theta, stat)) - ev.psi)
-
-
 def entropy(spec: FamilySpec, theta) -> float:
     """Entropy in bits/symbol via the closed form -<theta, grad psi> + psi."""
     ev = evaluate(spec, theta)
@@ -308,13 +296,13 @@ def _ball_maximizers(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     return np.einsum("nij,nj->ni", q, u) * scale[:, None]
 
 
-def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
+def mle(spec: FamilySpec, tau_target) -> np.ndarray:
     """Maximizer of <theta, tau> - psi(theta) over the rho_max ball.
 
     At an interior optimum the stationarity grad psi(theta) = tau holds to
     solver tolerance. Targets whose unconstrained optimum leaves the ball are
-    clamped to the sphere. Targets farther than ``hull_slack`` (max-norm)
-    outside the convex hull of the statistic rows raise ValueError.
+    clamped to the sphere. Targets farther than 1e-9 (max-norm) outside the
+    convex hull of the statistic rows raise ValueError.
 
     Each iteration maximizes the local quadratic model of the objective
     exactly over the ball and backtracks along that step until the objective
@@ -360,10 +348,10 @@ def mle(spec: FamilySpec, tau_target, hull_slack: float = 1e-9) -> np.ndarray:
         )
     if not on_sphere:
         return theta
-    if hull_distance(spec, tau_t) > hull_slack:
+    if hull_distance(spec, tau_t) > _HULL_SLACK:
         raise ValueError(
             f"statistic target {tau_t.tolist()} lies outside the convex hull "
-            f"of the statistic rows by more than {hull_slack:g}"
+            f"of the statistic rows by more than {_HULL_SLACK:g}"
         )
     return theta / nrm * rho
 
@@ -379,9 +367,8 @@ def mle_batch(spec: FamilySpec, targets) -> tuple[np.ndarray, np.ndarray]:
 
     No hull check is made. Precondition: every target is a composition
     average, or the center of a grid cuboid that contains one, so it lies
-    within max-norm distance side/2 of the convex hull of the statistic rows,
-    inside the hull slack the callers would give ``mle``. Single or external
-    targets go through ``mle``, which checks the hull.
+    within max-norm distance side/2 of the convex hull of the statistic rows.
+    Single or external targets go through ``mle``, which checks the hull.
     """
     tau_t = np.asarray(targets, dtype=float)
     if tau_t.ndim != 2 or tau_t.shape[1] != spec.d:

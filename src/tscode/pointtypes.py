@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpecError
-from .family import FamilySpec, evaluate, mle
+from .family import FamilySpec
 from .typeclass import (
     DEFAULT_COMPOSITION_BUDGET,
     TypeIndex,
@@ -141,21 +141,6 @@ class LatticeMap:
         a.setflags(write=False)
         return a
 
-    def tau_of_point(self, ell) -> np.ndarray:
-        """Statistic vector corresponding to a (possibly fractional) point."""
-        e = np.asarray([float(v) for v in ell], dtype=float)
-        if e.shape != (self.d_prime,):
-            raise SpecError(f"lattice point has shape {e.shape}, expected ({self.d_prime},)")
-        return np.asarray(self.tau1) + self.recon_array @ e
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """Exact class key n * L(x^n) of a blocklength-n sequence."""
-
-    scaled: tuple[int, ...]
-    n: int
-
 
 def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int | None]:
     """Exact Gauss-Jordan elimination, in place, one row at a time in order.
@@ -232,13 +217,6 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
     )
 
 
-def point_class_of(lmap: LatticeMap, spec: FamilySpec, xs) -> LatticePoint:
-    """Exact integer class key: the sum of per-symbol lattice vectors."""
-    idx = spec.alphabet.indices(xs)[0]
-    scaled = lmap.L_array[idx].sum(axis=0)
-    return LatticePoint(scaled=tuple(int(v) for v in scaled), n=len(idx))
-
-
 def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
                      budget: int | None = None) -> TypeIndex:
     """Group all n-compositions by their exact scaled lattice point."""
@@ -253,12 +231,3 @@ def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
     return TypeIndex(spec, n, "point", comps, *multiset_sizes(comps),
                      lambda counts: counts @ lmap.L_array, centers_of_keys)
 
-
-def f0_of(spec: FamilySpec, lmap: LatticeMap, n: int, ell, c: float = 0.0) -> float:
-    """Per-symbol point-class size rate at the lattice point ell:
-    -(<theta_hat, tau(ell)> - psi(theta_hat)) - (d'/2n) log2(2 pi n) + c/n."""
-    tau = lmap.tau_of_point(np.atleast_1d(ell))
-    theta = mle(spec, tau)
-    ev = evaluate(spec, theta)
-    base = ev.psi - float(np.dot(theta, tau))
-    return base - lmap.d_prime / (2 * n) * math.log2(2 * math.pi * n) + c / n

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SpecError
-from .family import FamilySpec, evaluate, mle, suffstat
+from .family import FamilySpec
 from .typeclass import (
     DEFAULT_COMPOSITION_BUDGET,
     TypeIndex,
@@ -89,11 +89,6 @@ class Grid:
         return self.anchor_array + np.asarray(k, dtype=float) * self.side
 
 
-def cuboid_center_of(grid: Grid, tau) -> np.ndarray:
-    """Center of the half-open cuboid containing tau; idempotent."""
-    return grid.center_of_index(grid.cell_index(tau))
-
-
 def build_type_index(spec: FamilySpec, n: int, grid: Grid,
                      budget: int | None = None) -> TypeIndex:
     """Group all n-compositions by the cuboid of their average statistic."""
@@ -114,38 +109,3 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
     return TypeIndex(spec, n, "quantized", comps, *multiset_sizes(comps), keys_of,
                      grid.center_of_index)
 
-
-def _cell_mle(spec: FamilySpec, grid: Grid, tau) -> np.ndarray:
-    """Likelihood maximizer at a point that may leave the convex hull of the
-    statistic rows by up to half a cell diagonal (a cuboid center)."""
-    return mle(spec, tau, hull_slack=grid.side * math.sqrt(spec.d) / 2 + 1e-9)
-
-
-def r_of(spec: FamilySpec, grid: Grid, xs) -> float:
-    """Common part of the class-size sandwich at the sequence's cuboid center:
-    -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s, with theta_c the
-    likelihood maximizer at the center."""
-    stat = suffstat(spec, xs)
-    n = len(spec.alphabet.indices(xs)[0])
-    if grid.n != n:
-        raise SpecError(f"grid built for n={grid.n}, sequence has n={n}")
-    theta_c = _cell_mle(spec, grid, cuboid_center_of(grid, stat))
-    ev = evaluate(spec, theta_c)
-    log_p = n * (float(np.dot(theta_c, stat)) - ev.psi)
-    return -log_p - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
-
-
-def f_of(spec: FamilySpec, grid: Grid, tau, c: float = 0.0) -> float:
-    """Per-symbol upper-bound rate function for class sizes:
-    -<theta_hat, tau> + psi(theta_hat) - (d/2n) log2 n + (d log2 s)/n
-    + 3*kappa*s/n + c/n."""
-    t = np.asarray(tau, dtype=float)
-    n = grid.n
-    theta = _cell_mle(spec, grid, t)
-    ev = evaluate(spec, theta)
-    base = ev.psi - float(np.dot(theta, t))
-    return (base
-            - spec.d / (2 * n) * math.log2(n)
-            + spec.d * math.log2(grid.s) / n
-            + 3 * spec.kappa * grid.s / n
-            + c / n)

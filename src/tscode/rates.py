@@ -1,7 +1,7 @@
 """Exact finite-blocklength coding-rate analysis and empirical checks.
 
-Everything here is computed at desk scale from exact class sizes: overflow
-probabilities, the minimal codebook size under an overflow constraint, the
+Everything here is computed at desk scale from exact class sizes: class
+masses, the minimal codebook size under an overflow constraint, the
 coding rate, third-order slope fits against log2 n, a Monte Carlo normality
 check for the plug-in self-information, and the likelihood-approximation gap
 between a statistic and its cuboid center.
@@ -77,14 +77,6 @@ def class_masses(source: SourceSpec, index: TypeIndex) -> list[float]:
         loglik = index.member_stats @ np.log2(evaluate(source.family, theta).pmf)
     return np.bincount(index.member_class, weights=np.exp2(index.member_log2_sizes + loglik),
                        minlength=len(index.bounds) - 1).tolist()
-
-
-def overflow_prob(source: SourceSpec, index: TypeIndex, gamma: float) -> float:
-    """Exact P[log2 |T(X^n)| > n*gamma] under the true model."""
-    masses = class_masses(source, index)
-    over = index.log2_sizes > index.n * gamma
-    total = math.fsum(mass for mass, big in zip(masses, over.tolist()) if big)
-    return min(max(total, 0.0), 1.0)
 
 
 def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:

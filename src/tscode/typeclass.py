@@ -250,6 +250,13 @@ def _join_pairs(T: np.ndarray, P: np.ndarray, Q: np.ndarray):
     return T[0::2] * Q[1::2] + P[0::2] * T[1::2], P[0::2] * P[1::2], Q[0::2] * Q[1::2]
 
 
+def rank_out_of_range(k: int, total: int) -> ValueError:
+    """The error for a rank outside [0, total), naming bit lengths only: a
+    rank or total past 4,300 digits cannot be formatted in decimal."""
+    rank = "a negative rank" if k < 0 else f"a {k.bit_length()}-bit rank"
+    return ValueError(f"{rank} is outside [0, total) for a {total.bit_length()}-bit total")
+
+
 def unrank_in_composition(counts: Sequence[int], k: int,
                           size: int | None = None) -> tuple[int, ...]:
     """The sequence at rank ``k`` among the permutations of ``counts``, in
@@ -261,7 +268,7 @@ def unrank_in_composition(counts: Sequence[int], k: int,
     if size is None:
         size = multinomial(rem_counts)
     if not 0 <= k < size:
-        raise ValueError(f"rank {k} outside [0, {size})")
+        raise rank_out_of_range(k, size)
     out = []
     for remaining in range(sum(rem_counts), 0, -1):
         y = 1
@@ -482,19 +489,16 @@ class TypeIndex:
         columns = ClassColumns(self)
         return tuple(TypeClass(columns, c) for c in range(len(self.bounds) - 1))
 
-    def _member(self, xs) -> tuple[np.ndarray, list[int], int]:
-        """A length-n sequence's symbol indices, their counts, and its member."""
+    def locate(self, xs) -> tuple[int, int]:
+        """The layout position of the member holding a length-n sequence, and
+        the sequence's rank in that member (given the member's exact size)."""
         idx, counts = self.spec.alphabet.indices(xs)
         if len(idx) != self.n:
             raise ValueError(f"sequence length {len(idx)} does not match index n={self.n}")
         if self.mode == "markov":
-            return idx, counts, pack_path(self.alphabet_size, idx.tolist())
-        return idx, counts, colex_rank(counts)
-
-    def locate(self, xs) -> tuple[int, int]:
-        """The layout position of the member holding a length-n sequence, and
-        the sequence's rank in that member (given the member's exact size)."""
-        idx, counts, member = self._member(xs)
+            member = pack_path(self.alphabet_size, idx.tolist())
+        else:
+            member = colex_rank(counts)
         c = int(self.member_class[member])
         lo, hi = self.bounds[c], self.bounds[c + 1]
         pos = int(lo + np.searchsorted(self.members[lo:hi], member))
@@ -509,10 +513,6 @@ class TypeIndex:
         if self.mode == "markov":
             return tuple(y + 1 for y in unpack_path(self.alphabet_size, member, self.n))
         return unrank_in_composition(self.member_stats[member].tolist(), within, size)
-
-    def class_of(self, xs) -> int:
-        """The id of the class holding a length-n sequence; no rank is computed."""
-        return int(self.member_class[self._member(xs)[2]])
 
 
 def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tscode.family import FamilySpec
@@ -50,3 +51,19 @@ def flip_markov():
 def theta_for_p1(p1: float) -> tuple[float, ...]:
     """Bernoulli natural parameter giving P(symbol 1) = p1."""
     return (math.log2((1 - p1) / p1),)
+
+
+def mean_stat(spec, xs):
+    """The average statistic (1/n) sum_i tau(x_i) of a sequence, from the
+    sequence alone."""
+    return spec.tau_array[np.asarray(xs) - 1].mean(axis=0)
+
+
+def lattice_key(lmap, xs):
+    """The exact point-class key n L(x^n) of a sequence: its summed lattice rows."""
+    return tuple(lmap.L_array[np.asarray(xs) - 1].sum(axis=0).tolist())
+
+
+def class_id(index, xs):
+    """The class of the member that the codec's ``locate`` finds for a sequence."""
+    return int(index.member_class[index.members[index.locate(xs)[0]]])

@@ -329,6 +329,24 @@ class TestEncodeDecodeCommands:
         parsed = containerfmt.unpack(cont.read_bytes())
         assert parsed.codeword.length <= 1  # singleton class ranks first
 
+    @pytest.mark.parametrize("spec_file, mode, symbols, problem", [
+        ("tern.spec", "quantized", "1 2 0 1", "symbol 0 at position 3 is outside 1..3"),
+        ("tern.spec", "quantized", "1 2 3 4", "symbol 4 at position 4 is outside 1..3"),
+        ("sqrt2.spec", "point", "3 1 4", "symbol 4 at position 3 is outside 1..3"),
+        ("flip.spec", "markov", "2 0", "symbol 0 at position 2 is outside 1..2"),
+        ("tern.spec", "quantized", "1 2 x 1", "must contain integer symbols"),
+    ], ids=["zero", "m+1", "point", "markov", "non-integer"])
+    def test_bad_symbol_is_a_schema_error(self, workdir, capsys, spec_file, mode, symbols,
+                                          problem):
+        seq = workdir / "bad.txt"
+        seq.write_text(symbols + "\n")
+        cont = workdir / "bad.tsz"
+        assert main(["encode", "--spec", str(workdir / spec_file), "--mode", mode,
+                     str(seq), str(cont)]) == 2
+        sep = " " if problem.startswith("must") else ": "
+        assert capsys.readouterr().err == f"schema error: sequence file {seq}{sep}{problem}\n"
+        assert not cont.exists()
+
     @pytest.mark.parametrize("spec_file, mode, header, needed", [
         ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), "2^4294967295"),
         ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), str(2 ** 32)),

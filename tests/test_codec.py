@@ -22,6 +22,7 @@ from tscode.typeclass import (
     rank_per_symbol,
     unrank_in_composition,
 )
+from conftest import class_id
 
 
 class TestStringEnumeration:
@@ -112,6 +113,13 @@ class TestCompositionRanking:
         with pytest.raises(TypeError):
             unrank_in_composition([2, 1], 1.5)
 
+    def test_unrank_names_a_huge_rank_by_its_bit_length(self):
+        # past 4,300 decimal digits a rank cannot be formatted in decimal
+        with pytest.raises(ValueError, match="a 15001-bit rank is outside .* 3-bit total"):
+            unrank_in_composition([2, 2], 1 << 15000)
+        with pytest.raises(ValueError, match="a negative rank is outside .* 3-bit total"):
+            unrank_in_composition([2, 2], -(1 << 15000))
+
     def test_unrank_takes_the_member_size(self):
         assert unrank_in_composition([2, 1], 2, size=3) == (2, 1, 1)
         with pytest.raises(ValueError):
@@ -158,9 +166,9 @@ class TestRankUnrank:
     def test_extreme_ranks(self, bernoulli):
         o = _ordering(bernoulli, 6)
         first = o.unrank(0)
-        assert o.index.sizes[o.index.class_of(first)] == o.index.sizes[0]
+        assert o.index.sizes[class_id(o.index, first)] == o.index.sizes[0]
         last = o.unrank(2 ** 6 - 1)
-        assert o.index.sizes[o.index.class_of(last)] == o.index.sizes[-1]
+        assert o.index.sizes[class_id(o.index, last)] == o.index.sizes[-1]
 
     def test_out_of_range(self, bernoulli):
         o = _ordering(bernoulli, 4)
@@ -168,6 +176,11 @@ class TestRankUnrank:
             o.unrank(16)
         with pytest.raises(ValueError):
             o.unrank(-1)
+        # past 4,300 decimal digits a rank cannot be formatted in decimal
+        with pytest.raises(ValueError, match="a 15001-bit rank is outside .* 5-bit total"):
+            o.unrank(1 << 15000)
+        with pytest.raises(ValueError, match="a negative rank is outside .* 5-bit total"):
+            o.unrank(-(1 << 15000))
 
     def test_unrank_rejects_a_rank_that_is_not_an_int(self, bernoulli):
         o = _ordering(bernoulli, 4)
@@ -190,7 +203,7 @@ class TestEncodeDecode:
     def test_size_monotone_lengths(self, bernoulli):
         for n in range(1, 9):
             o = _ordering(bernoulli, n)
-            pairs = [(o.index.sizes[o.index.class_of(xs)], o.encode(xs).length)
+            pairs = [(o.index.sizes[class_id(o.index, xs)], o.encode(xs).length)
                      for xs in product((1, 2), repeat=n)]
             sizes = sorted({s for s, _ in pairs})
             max_len = {s: max(l for t, l in pairs if t == s) for s in sizes}

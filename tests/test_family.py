@@ -15,10 +15,11 @@ from tscode.family import (
     mle,
     mle_batch,
     psi,
-    seq_log_prob,
-    suffstat,
     varentropy,
 )
+from tscode.quantized import Grid, build_type_index
+from tscode.rates import SourceSpec, _center_loglik, class_masses
+from conftest import class_id, mean_stat
 
 LOG2_3 = math.log2(3.0)
 
@@ -67,12 +68,12 @@ class TestPsiAndSequenceProbability:
 
     def test_uniform_sequence_probability(self, ternary):
         xs = [1, 2, 3, 1, 2]
-        assert seq_log_prob(ternary, [0.0, 0.0], xs) == pytest.approx(
+        assert _log2_prob(ternary, [0.0, 0.0], xs) == pytest.approx(
             -5 * math.log2(3), abs=1e-12)
 
     def test_bernoulli_examples(self, bernoulli):
-        assert seq_log_prob(bernoulli, [0.0], [1, 2, 1, 2]) == pytest.approx(-4.0)
-        assert seq_log_prob(bernoulli, [1.0], [2, 2]) == pytest.approx(
+        assert _log2_prob(bernoulli, [0.0], [1, 2, 1, 2]) == pytest.approx(-4.0)
+        assert _log2_prob(bernoulli, [1.0], [2, 2]) == pytest.approx(
             2 * (1 - LOG2_3), abs=1e-12)
 
     def test_matches_per_symbol_sum(self, ternary):
@@ -82,31 +83,49 @@ class TestPsiAndSequenceProbability:
             xs = rng.integers(1, 4, size=37)
             ev = evaluate(ternary, theta)
             direct = sum(math.log2(ev.pmf[x - 1]) for x in xs)
-            assert seq_log_prob(ternary, theta, xs) == pytest.approx(
+            assert _log2_prob(ternary, theta, xs) == pytest.approx(
                 direct, abs=1e-9 * len(xs))
 
     def test_empty_sequence_rejected(self, bernoulli):
-        with pytest.raises(ValueError):
-            seq_log_prob(bernoulli, [0.0], [])
+        with pytest.raises(ValueError, match="empty"):
+            bernoulli.alphabet.indices([])
 
     def test_bad_symbol_rejected(self, bernoulli):
-        with pytest.raises(ValueError):
-            seq_log_prob(bernoulli, [0.0], [1, 3])
+        with pytest.raises(ValueError, match="outside 1..2"):
+            bernoulli.alphabet.indices([1, 3])
+
+
+def _log2_prob(spec, theta, xs):
+    """log2 p_theta(x^n) read from the class masses: on a grid of side 1/n
+    with unit-vector statistics each class is one composition, whose mass is
+    its size times the probability of each of its sequences."""
+    n = len(xs)
+    idx = build_type_index(spec, n, Grid.create(n=n, s=1.0, d=spec.d))
+    c = class_id(idx, xs)
+    return math.log2(class_masses(SourceSpec(spec, tuple(theta)), idx)[c]) - idx.log2_sizes[c]
+
+
+def _stat_at(spec, xs):
+    """A sequence's statistic average, read from the batched center
+    log-likelihood pass at the member holding it."""
+    n = len(xs)
+    idx = build_type_index(spec, n, Grid.create(n=n, s=1.0, d=spec.d))
+    return _center_loglik(spec, idx)[0][idx.members[idx.locate(xs)[0]]]
 
 
 class TestSuffstat:
     def test_constant_sequence(self, ternary):
-        assert suffstat(ternary, [1] * 6) == pytest.approx([0.0, 0.0])
+        assert _stat_at(ternary, [1] * 6) == pytest.approx([0.0, 0.0])
 
     def test_bernoulli_balanced(self, bernoulli):
-        assert suffstat(bernoulli, [1, 2, 1, 2]) == pytest.approx([0.5])
+        assert _stat_at(bernoulli, [1, 2, 1, 2]) == pytest.approx([0.5])
 
     def test_ternary_average(self, ternary):
-        assert suffstat(ternary, [1, 2, 3]) == pytest.approx([1 / 3, 1 / 3])
+        assert _stat_at(ternary, [1, 2, 3]) == pytest.approx([1 / 3, 1 / 3])
 
     def test_depends_only_on_composition(self, ternary):
-        a = suffstat(ternary, [1, 2, 3, 3, 2, 1])
-        b = suffstat(ternary, [3, 3, 2, 2, 1, 1])
+        a = _stat_at(ternary, [1, 2, 3, 3, 2, 1])
+        b = _stat_at(ternary, [3, 3, 2, 2, 1, 1])
         assert a == pytest.approx(b, abs=0)
 
 
@@ -204,10 +223,14 @@ class TestMle:
             mle(bernoulli, [1.5])
         with pytest.raises(ValueError, match="convex hull"):
             mle(bernoulli, [-0.2])
+        # the hull slack is 1e-9: past it by 1e-7 is refused, 1e-10 is not
+        with pytest.raises(ValueError, match="convex hull"):
+            mle(bernoulli, [1 + 1e-7])
 
     def test_vertex_target_lands_on_sphere(self, bernoulli):
         theta = mle(bernoulli, [1.0])
         assert np.linalg.norm(theta) == pytest.approx(bernoulli.rho_max, abs=1e-9)
+        assert mle(bernoulli, [1 + 1e-10]) == pytest.approx([bernoulli.rho_max], abs=0)
 
     def test_stationarity_random_interior(self, ternary):
         rng = np.random.default_rng(9)
@@ -222,12 +245,14 @@ class TestMle:
     def test_mle_beats_random_models(self, ternary):
         rng = np.random.default_rng(10)
         xs = rng.integers(1, 4, size=40)
-        theta_hat = mle(ternary, suffstat(ternary, xs))
-        best = seq_log_prob(ternary, theta_hat, xs)
+        stat = mean_stat(ternary, xs)
+        theta_hat = mle(ternary, stat)
+        # log2 p_theta(x^n) = n (<theta, stat> - psi(theta))
+        best = len(xs) * (float(np.dot(theta_hat, stat)) - psi(ternary, theta_hat))
         for _ in range(100):
             v = rng.normal(size=2)
             v *= rng.uniform(0, ternary.rho_max) / max(np.linalg.norm(v), 1e-12)
-            assert best >= seq_log_prob(ternary, v, xs) - 1e-9
+            assert best >= len(xs) * (float(np.dot(v, stat)) - psi(ternary, v)) - 1e-9
 
     def test_hull_distance(self, bernoulli):
         assert hull_distance(bernoulli, [0.5]) <= 1e-9

@@ -20,6 +20,7 @@ from tscode.markov import (
 )
 from tscode.quantized import Grid
 from tscode.rates import SourceSpec, m_eps, third_order_fit
+from conftest import class_id
 
 
 def binary_entropy(p):
@@ -252,7 +253,7 @@ class TestMarkovCodec:
         n = 8
         idx = markov_type_index(flip_markov, n, Grid.create(n=n, s=1.0, d=1))
         o = ClassOrdering(idx)
-        pairs = [(o.index.sizes[o.index.class_of(xs)], o.encode(xs).length)
+        pairs = [(o.index.sizes[class_id(o.index, xs)], o.encode(xs).length)
                  for xs in product((1, 2), repeat=n)]
         for s1, l1 in pairs:
             for s2, l2 in pairs:

@@ -6,17 +6,33 @@ import numpy as np
 import pytest
 
 from tscode.errors import SpecError
-from tscode.family import FamilySpec, evaluate, mle, seq_log_prob
-from tscode.pointtypes import (
-    ExactStatMap,
-    derive_lattice,
-    f0_of,
-    point_class_of,
-    point_type_index,
-)
+from tscode.family import FamilySpec, evaluate, mle_batch
+from tscode.pointtypes import ExactStatMap, derive_lattice, point_type_index
 from tscode.quantized import Grid
+from conftest import class_id, lattice_key
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _centers_by_key(spec, lmap, n):
+    """Each class key of the point index at blocklength n with its center,
+    tau(1) + recon (key / n), as the index derives it from the key."""
+    idx = point_type_index(spec, lmap, n)
+    return {tuple(k): c for k, c in zip(idx.keys.tolist(), idx.centers.tolist())}
+
+
+def _class_with_key(idx, key):
+    return int(np.flatnonzero((idx.keys == key).all(axis=1))[0])
+
+
+def _f0_rates(spec, lmap, idx, c=0.0):
+    """The per-symbol point-class size rate at every class center of a point
+    index, from one mle_batch solve: -(<theta_hat, tau> - psi(theta_hat))
+    - (d'/2n) log2(2 pi n) + c/n."""
+    theta, psi = mle_batch(spec, idx.centers)
+    n = idx.n
+    return (psi - np.einsum("ij,ij->i", theta, idx.centers)
+            - lmap.d_prime / (2 * n) * math.log2(2 * math.pi * n) + c / n)
 
 
 class TestDeriveLattice:
@@ -46,11 +62,12 @@ class TestDeriveLattice:
         # pivots other than 1 and columns that couple: every step of the
         # elimination must run to recover tau from L
         tau = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.75], [1.0, 1.0]]
-        lmap = derive_lattice(ExactStatMap.from_rational_tau(FamilySpec.create(tau, rho_max=2.0)))
+        fam = FamilySpec.create(tau, rho_max=2.0)
+        lmap = derive_lattice(ExactStatMap.from_rational_tau(fam))
         assert lmap.L == ((0, 0), (1, 4), (2, 3), (2, 4))
         assert lmap.recon == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
-        for x, expect in enumerate(tau):
-            assert lmap.tau_of_point(lmap.L[x]).tolist() == expect
+        # at n = 1 each symbol is a class, keyed L(x) and centered at tau(x)
+        assert _centers_by_key(fam, lmap, 1) == {lmap.L[x]: expect for x, expect in enumerate(tau)}
 
     def test_dependent_rows_reduce_dimension(self):
         # tau = (0, 1+sqrt2, 2+2sqrt2): both basis rows are proportional
@@ -71,9 +88,9 @@ class TestDeriveLattice:
 
     def test_reconstruction_matches_statistics(self, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
+        centers = _centers_by_key(sqrt2_statmap.spec, lmap, 1)
         for x, expect in enumerate([0.0, 1.0, SQRT2]):
-            tau = lmap.tau_of_point(np.asarray(lmap.L[x], dtype=float))
-            assert tau[0] == pytest.approx(expect, abs=1e-12)
+            assert centers[lmap.L[x]][0] == pytest.approx(expect, abs=1e-12)
 
     def test_more_symbols_than_lattice_dimensions(self):
         # tau = (0, 1, sqrt2, 1+sqrt2): four symbols on a two-dimensional
@@ -91,8 +108,9 @@ class TestDeriveLattice:
         ))
         assert lmap.d_prime == 2
         assert lmap.L == ((0, 0), (1, 0), (0, 1), (1, 1))
+        centers = _centers_by_key(fam, lmap, 1)
         for x, expect in enumerate(taus):
-            assert lmap.tau_of_point(lmap.L[x])[0] == pytest.approx(expect, abs=1e-12)
+            assert centers[lmap.L[x]][0] == pytest.approx(expect, abs=1e-12)
 
     def test_all_zero_coefficients_rejected_as_trivial(self, sqrt2_family):
         zero = (Fraction(0), Fraction(0))
@@ -153,19 +171,18 @@ class TestDeriveLattice:
 class TestPointClasses:
     def test_constant_symbol_one_is_zero(self, sqrt2_family, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
-        pt = point_class_of(lmap, sqrt2_family, [1] * 7)
-        assert pt.scaled == (0, 0) and pt.n == 7
+        idx = point_type_index(sqrt2_family, lmap, 7)
+        assert lattice_key(lmap, [1] * 7) == tuple(idx.keys[class_id(idx, [1] * 7)]) == (0, 0)
 
     def test_order_invariance(self, sqrt2_family, sqrt2_statmap):
-        lmap = derive_lattice(sqrt2_statmap)
-        assert point_class_of(lmap, sqrt2_family, (1, 2)) == \
-            point_class_of(lmap, sqrt2_family, (2, 1))
+        idx = point_type_index(sqrt2_family, derive_lattice(sqrt2_statmap), 2)
+        assert class_id(idx, (1, 2)) == class_id(idx, (2, 1))
 
     def test_nine_sequences_six_classes(self, sqrt2_family, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
-        classes = {point_class_of(lmap, sqrt2_family, xs).scaled
-                   for xs in product((1, 2, 3), repeat=2)}
+        classes = {lattice_key(lmap, xs) for xs in product((1, 2, 3), repeat=2)}
         assert len(classes) == 6
+        assert classes == set(map(tuple, point_type_index(sqrt2_family, lmap, 2).keys.tolist()))
 
     def test_index_bernoulli_matches_compositions(self, bernoulli):
         lmap = derive_lattice(ExactStatMap.from_rational_tau(bernoulli))
@@ -195,44 +212,38 @@ class TestPointClasses:
             idx = point_type_index(sqrt2_family, lmap, n)
             direct: dict[tuple, int] = {}
             for xs in product((1, 2, 3), repeat=n):
-                key = point_class_of(lmap, sqrt2_family, xs).scaled
+                key = lattice_key(lmap, xs)
                 direct[key] = direct.get(key, 0) + 1
             assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == direct
 
 
 class TestEquiprobability:
     def test_same_class_equal_log_probs(self, sqrt2_family, sqrt2_statmap):
-        lmap = derive_lattice(sqrt2_statmap)
-        idx = point_type_index(sqrt2_family, lmap, 5)
+        # a sequence of each member has log2 p_theta = counts . log2 pmf, the
+        # same for every member of a class at every theta; tau = (0, 1, 2)
+        # merges the compositions of equal c2 + 2 c3 into one class
+        line = FamilySpec.create([[0.0], [1.0], [2.0]], rho_max=3.0)
         rng = np.random.default_rng(17)
-        thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
-        # two sequences from one class: permutations of a member composition
-        for first in idx.members[idx.bounds[:-1]]:
-            counts = idx.member_stats[first]
-            seq1 = [s + 1 for s in range(3) for _ in range(counts[s])]
-            seq2 = seq1[::-1]
-            for th in thetas:
-                a = seq_log_prob(sqrt2_family, [th], seq1)
-                b = seq_log_prob(sqrt2_family, [th], seq2)
-                assert abs(a - b) <= 1e-10
+        thetas = rng.uniform(-2.5, 2.5, size=20)
+        for fam, lmap in [(sqrt2_family, derive_lattice(sqrt2_statmap)),
+                          (line, derive_lattice(ExactStatMap.from_rational_tau(line)))]:
+            idx = point_type_index(fam, lmap, 5)
+            log2_pmf = np.log2([evaluate(fam, [th]).pmf for th in thetas])
+            loglik = idx.member_stats[idx.members] @ log2_pmf.T
+            starts = idx.bounds[:-1]
+            spread = np.maximum.reduceat(loglik, starts) - np.minimum.reduceat(loglik, starts)
+            assert spread.max() <= 1e-10
+        assert max(np.diff(idx.bounds)) > 1
 
     def test_distinct_classes_separated_by_generic_theta(self, sqrt2_family, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
         idx = point_type_index(sqrt2_family, lmap, 4)
         rng = np.random.default_rng(18)
-        thetas = [float(rng.uniform(-2.5, 2.5)) for _ in range(20)]
-
-        def rep(member):
-            counts = idx.member_stats[member]
-            return [s + 1 for s in range(3) for _ in range(counts[s])]
-
-        firsts = idx.members[idx.bounds[:-1]].tolist()
-        for i, ca in enumerate(firsts):
-            for cb in firsts[i + 1:]:
-                gap = max(abs(seq_log_prob(sqrt2_family, [th], rep(ca))
-                              - seq_log_prob(sqrt2_family, [th], rep(cb)))
-                          for th in thetas)
-                assert gap > 1e-6
+        thetas = rng.uniform(-2.5, 2.5, size=20)
+        log2_pmf = np.log2([evaluate(sqrt2_family, [th]).pmf for th in thetas])
+        loglik = idx.member_stats[idx.members[idx.bounds[:-1]]] @ log2_pmf.T
+        gap = np.abs(loglik[:, None, :] - loglik[None, :, :]).max(axis=2)
+        assert gap[np.triu_indices(len(loglik), 1)].min() > 1e-6
 
     def test_refinement_into_quantized_classes(self, sqrt2_family, sqrt2_statmap):
         lmap = derive_lattice(sqrt2_statmap)
@@ -250,33 +261,29 @@ class TestEquiprobability:
 
 class TestF0:
     def test_uniform_mean_value(self, sqrt2_family, sqrt2_statmap):
+        # the lattice point (1/3, 1/3) is the class of key (4, 4) at n = 12
         lmap = derive_lattice(sqrt2_statmap)
-        n = 16
-        val = f0_of(sqrt2_family, lmap, n, [Fraction(1, 3), Fraction(1, 3)])
+        n = 12
+        idx = point_type_index(sqrt2_family, lmap, n)
+        val = _f0_rates(sqrt2_family, lmap, idx)[_class_with_key(idx, (4, 4))]
         expected = math.log2(3) - 2 / (2 * n) * math.log2(2 * math.pi * n)
         assert val == pytest.approx(expected, abs=1e-9)
 
     def test_only_log_terms_change_with_n(self, sqrt2_family, sqrt2_statmap):
+        # the lattice point (1/4, 1/4): key (4, 4) at n = 16, (8, 8) at n = 32
         lmap = derive_lattice(sqrt2_statmap)
-        ell = [Fraction(1, 4), Fraction(1, 4)]
-        f_n = f0_of(sqrt2_family, lmap, 16, ell, c=0.5)
-        f_2n = f0_of(sqrt2_family, lmap, 32, ell, c=0.5)
+        f = {}
+        for n in (16, 32):
+            idx = point_type_index(sqrt2_family, lmap, n)
+            f[n] = _f0_rates(sqrt2_family, lmap, idx, c=0.5)[_class_with_key(idx, (n // 4,) * 2)]
         expected = (-(2 / 32) * math.log2(2 * math.pi * 16)
                     + (2 / 64) * math.log2(2 * math.pi * 32) + 0.5 / 32)
-        assert f_n - f_2n == pytest.approx(expected, abs=1e-12)
+        assert f[16] - f[32] == pytest.approx(expected, abs=1e-12)
 
     def _sandwich_devs(self, fam, lmap, n):
         idx = point_type_index(fam, lmap, n)
-        hi = lo = -math.inf
-        for tau, size in zip(idx.centers, idx.sizes):
-            theta = mle(fam, tau)
-            ev = evaluate(fam, theta)
-            base = (n * (ev.psi - float(np.dot(theta, tau)))
-                    - lmap.d_prime / 2 * math.log2(2 * math.pi * n))
-            log_size = math.log2(size)
-            hi = max(hi, log_size - base)
-            lo = max(lo, base - log_size)
-        return hi, lo
+        base = n * _f0_rates(fam, lmap, idx)
+        return (float((idx.log2_sizes - base).max()), float((base - idx.log2_sizes).max()))
 
     def test_sandwich_bernoulli_n16(self):
         # n f0(L) - 2C <= log2 |T| <= n f0(L) with a fitted constant

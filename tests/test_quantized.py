@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import tscode.typeclass
 from tscode.errors import BudgetError, SpecError
-from tscode.family import FamilySpec, suffstat
-from tscode.quantized import Grid, build_type_index, cuboid_center_of, f_of, r_of
+from tscode.family import FamilySpec, mle_batch
+from tscode.quantized import Grid, build_type_index
+from tscode.rates import _center_loglik
 from tscode.typeclass import (
     colex_rank,
     composition_array,
@@ -17,6 +18,7 @@ from tscode.typeclass import (
     multinomial,
     multiset_sizes,
 )
+from conftest import class_id, mean_stat
 
 
 class TestGrid:
@@ -53,29 +55,28 @@ class TestGrid:
 
 
 class TestCuboidCenter:
+    # the center of the half-open cuboid holding tau, as the index derives it
+    # from a class key: center_of_index(cell_index(tau))
     def test_anchor_maps_to_itself(self):
         g = Grid.create(n=4, s=1.0, d=2, anchor=(0.25, -1.0))
-        assert cuboid_center_of(g, [0.25, -1.0]) == pytest.approx([0.25, -1.0])
+        assert g.center_of_index(g.cell_index([0.25, -1.0])) == pytest.approx([0.25, -1.0])
 
     def test_half_open_boundary_inclusive_high_side(self):
         g = Grid.create(n=4, s=1.0, d=1)  # side 0.25, boundary at 0.125
-        assert cuboid_center_of(g, [0.125]) == pytest.approx([0.0])
-        assert cuboid_center_of(g, [0.1251]) == pytest.approx([0.25])
-        assert cuboid_center_of(g, [-0.125]) == pytest.approx([-0.25])
+        centers = g.center_of_index(g.cell_index([[0.125], [0.1251], [-0.125]]))
+        assert centers[:, 0] == pytest.approx([0.0, 0.25, -0.25])
 
     def test_idempotent(self):
         g = Grid.create(n=7, s=1.3, d=2, anchor=(0.1, 0.2))
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            tau = rng.normal(size=2) * 3
-            c = cuboid_center_of(g, tau)
-            assert cuboid_center_of(g, c) == pytest.approx(c, abs=0)
+        c = g.center_of_index(g.cell_index(rng.normal(size=(200, 2)) * 3))
+        assert np.array_equal(g.center_of_index(g.cell_index(c)), c)
 
     @given(st.floats(-5, 5), st.floats(0.2, 3.0), st.integers(2, 50), st.floats(-1, 1))
     @settings(max_examples=200, deadline=None)
     def test_containment(self, tau, s, n, anchor):
         g = Grid.create(n=n, s=s, d=1, anchor=(anchor,))
-        c = cuboid_center_of(g, [tau])[0]
+        c = g.center_of_index(g.cell_index([tau]))[0]
         z = tau - c
         assert -g.side / 2 - 1e-9 < z <= g.side / 2 + 1e-9
 
@@ -159,7 +160,7 @@ class TestBuildTypeIndex:
                     idx = build_type_index(fam, n, g)
                     direct: dict[tuple, int] = {}
                     for xs in product(range(1, m + 1), repeat=n):
-                        key = tuple(g.cell_index(suffstat(fam, xs)))
+                        key = tuple(g.cell_index(mean_stat(fam, xs)))
                         direct[key] = direct.get(key, 0) + 1
                     assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == direct
 
@@ -204,65 +205,86 @@ class TestBuildTypeIndex:
 class TestTypeSizeOfSequence:
     def test_singleton(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        assert idx.sizes[idx.class_of([1, 1, 1, 1])] == 1
+        assert idx.sizes[class_id(idx, [1, 1, 1, 1])] == 1
 
     def test_balanced_binary(self, bernoulli):
         idx = build_type_index(bernoulli, 4, Grid.create(n=4, s=1.0, d=1))
-        assert idx.sizes[idx.class_of([1, 1, 2, 2])] == 6
+        assert idx.sizes[class_id(idx, [1, 1, 2, 2])] == 6
 
     def test_coarse_grid_merges_compositions(self, bernoulli):
         # anchor 0.25, side 0.5: the cell (0, 0.5] holds tau = 0.25 and 0.5
         g = Grid(n=4, s=2.0, d=1, anchor=(0.25,))
         idx = build_type_index(bernoulli, 4, g)
-        assert idx.sizes[idx.class_of([1, 1, 2, 2])] == 10
+        assert idx.sizes[class_id(idx, [1, 1, 2, 2])] == 10
 
     def test_permutation_invariant(self, ternary):
         idx = build_type_index(ternary, 5, Grid.create(n=5, s=1.0, d=2))
-        a = idx.sizes[idx.class_of([1, 2, 3, 2, 1])]
-        b = idx.sizes[idx.class_of([3, 2, 2, 1, 1])]
+        a = idx.sizes[class_id(idx, [1, 2, 3, 2, 1])]
+        b = idx.sizes[class_id(idx, [3, 2, 2, 1, 1])]
         assert a == b
 
     def test_no_rank_inside_the_composition(self, ternary, monkeypatch):
-        # the class of a sequence needs its counts only, not its rank
+        # the class keys and exact sizes need the counts only, not a rank
         g = Grid.create(n=6, s=2.0, d=2)
-        idx = build_type_index(ternary, 6, g)
         seqs = list(product((1, 2, 3), repeat=6))
-        keys = [tuple(g.cell_index(suffstat(ternary, xs))) for xs in seqs]
+        keys = [tuple(g.cell_index(mean_stat(ternary, xs))) for xs in seqs]
         sizes = {key: keys.count(key) for key in set(keys)}
 
         def fail(*args, **kwargs):
             raise AssertionError("a rank inside the composition was computed")
         monkeypatch.setattr(tscode.typeclass, "rank_counted", fail)
-        for xs, key in zip(seqs, keys):
-            assert idx.sizes[idx.class_of(xs)] == sizes[key]
+        idx = build_type_index(ternary, 6, g)
+        assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == sizes
         assert max(sizes.values()) > math.comb(6, 2) * math.comb(4, 2)  # merged classes
+
+
+def _r_at(spec, grid, xs):
+    """r(x^n) = -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s of the class-size
+    sandwich, from the batched center log-likelihood at the member holding xs."""
+    idx = build_type_index(spec, grid.n, grid)
+    lp = _center_loglik(spec, idx)[1][idx.members[idx.locate(xs)[0]]]
+    return -lp - spec.d / 2 * math.log2(grid.n) + spec.d * math.log2(grid.s)
+
+
+def _f_rate(spec, grid, targets, c=0.0):
+    """The class-size rate function at each target row, from one mle_batch solve:
+    psi(theta_hat) - <theta_hat, tau> - (d/2n) log2 n + (d log2 s + 3 kappa s + c)/n."""
+    targets = np.asarray(targets, dtype=float)
+    theta, psi = mle_batch(spec, targets)
+    n = grid.n
+    return (psi - np.einsum("ij,ij->i", theta, targets) - spec.d / (2 * n) * math.log2(n)
+            + (spec.d * math.log2(grid.s) + 3 * spec.kappa * grid.s + c) / n)
 
 
 class TestBoundFunctions:
     def test_r_balanced_bernoulli(self, bernoulli):
         xs = [1] * 8 + [2] * 8
-        assert r_of(bernoulli, Grid.create(n=16, s=1.0, d=1), xs) == pytest.approx(14.0, abs=1e-9)
-        assert r_of(bernoulli, Grid.create(n=16, s=2.0, d=1), xs) == pytest.approx(15.0, abs=1e-9)
+        assert _r_at(bernoulli, Grid.create(n=16, s=1.0, d=1), xs) == pytest.approx(14.0, abs=1e-9)
+        assert _r_at(bernoulli, Grid.create(n=16, s=2.0, d=1), xs) == pytest.approx(15.0, abs=1e-9)
 
     def test_r_permutation_invariant(self, ternary):
         g = Grid.create(n=6, s=1.0, d=2)
-        assert r_of(ternary, g, [1, 2, 3, 3, 2, 1]) == pytest.approx(
-            r_of(ternary, g, [3, 3, 2, 2, 1, 1]), abs=1e-12)
+        assert _r_at(ternary, g, [1, 2, 3, 3, 2, 1]) == pytest.approx(
+            _r_at(ternary, g, [3, 3, 2, 2, 1, 1]), abs=1e-12)
 
     def test_f_at_uniform_mean(self, ternary):
         g = Grid.create(n=16, s=1.0, d=2)
         target = ternary.tau_array.mean(axis=0)
         expected = (math.log2(3) - 2 / 32 * math.log2(16)
                     + 3 * ternary.kappa / 16)
-        assert f_of(ternary, g, target) == pytest.approx(expected, abs=1e-9)
+        assert _f_rate(ternary, g, [target])[0] == pytest.approx(expected, abs=1e-9)
 
     def test_f_log_term_scaling(self, bernoulli):
-        # quadrupling n scales the (d/2n) log2 n term as the formula says
-        f16 = f_of(bernoulli, Grid.create(n=16, s=1.0, d=1), [0.5])
-        f64 = f_of(bernoulli, Grid.create(n=64, s=1.0, d=1), [0.5])
+        # quadrupling n scales the (d/2n) log2 n term as the formula says, at
+        # the class center 0.5 of each index
+        f = {}
+        for n in (16, 64):
+            g = Grid.create(n=n, s=1.0, d=1)
+            centers = build_type_index(bernoulli, n, g).centers
+            f[n] = _f_rate(bernoulli, g, centers)[np.flatnonzero(centers[:, 0] == 0.5)[0]]
         base = 1.0  # entropy term at the uniform mean
-        term16 = base - f16  # (d/2n) log2 n - 3 kappa s / n at n=16
-        term64 = base - f64
+        term16 = base - f[16]  # (d/2n) log2 n - 3 kappa s / n at n=16
+        term64 = base - f[64]
         k = bernoulli.kappa
         assert term16 == pytest.approx(4 / 32 - 3 * k / 16, abs=1e-12)
         assert term64 == pytest.approx(6 / 128 - 3 * k / 64, abs=1e-12)
@@ -271,18 +293,13 @@ class TestBoundFunctions:
         # |f(t1) - f(t2)| / |t1 - t2| <= rho_max + 0.01 over 1000 random pairs
         g = Grid.create(n=32, s=1.0, d=2)
         rng = np.random.default_rng(21)
-        worst = 0.0
-        for _ in range(1000):
-            w1 = rng.dirichlet([1.5, 1.5, 1.5])
-            w2 = rng.dirichlet([1.5, 1.5, 1.5])
-            t1 = w1 @ ternary.tau_array
-            t2 = w2 @ ternary.tau_array
-            gap = np.linalg.norm(t1 - t2)
-            if gap < 1e-9:
-                continue
-            ratio = abs(f_of(ternary, g, t1) - f_of(ternary, g, t2)) / gap
-            worst = max(worst, ratio)
-        assert worst <= ternary.rho_max + 0.01
+        t1 = rng.dirichlet([1.5, 1.5, 1.5], size=1000) @ ternary.tau_array
+        t2 = rng.dirichlet([1.5, 1.5, 1.5], size=1000) @ ternary.tau_array
+        f = _f_rate(ternary, g, np.vstack([t1, t2]))
+        gap = np.linalg.norm(t1 - t2, axis=1)
+        far = gap >= 1e-9
+        ratio = np.abs(f[:1000] - f[1000:])[far] / gap[far]
+        assert ratio.max() <= ternary.rho_max + 0.01
 
     def test_upper_bound_rate_function_with_fitted_constant(self):
         # fit the constant at n=8, then the bound holds at larger n
@@ -291,8 +308,7 @@ class TestBoundFunctions:
         def worst_excess(n, c):
             g = Grid.create(n=n, s=1.0, d=1)
             idx = build_type_index(fam, n, g)
-            return max(math.log2(size) - n * f_of(fam, g, idx.centers[k], c=c)
-                       for k, size in enumerate(idx.sizes))
+            return float((idx.log2_sizes - n * _f_rate(fam, g, idx.centers, c=c)).max())
 
         cstar = worst_excess(8, 0.0)
         for n in (16, 32, 64):

@@ -25,7 +25,6 @@ from tscode.rates import (
     max_sandwich_deviation,
     ml_approx_check,
     normality_check,
-    overflow_prob,
     sandwich_sweep,
     third_order_fit,
 )
@@ -80,22 +79,12 @@ class TestSourceSpec:
 
 
 class TestOverflow:
-    def test_zero_above_max(self, bern_src, idx4):
-        assert overflow_prob(bern_src, idx4, 10.0) == 0.0
-
-    def test_one_below_zero(self, bern_src, idx4):
-        assert overflow_prob(bern_src, idx4, -0.5) == 1.0
-
     def test_single_class_threshold(self, bern_src, idx4):
-        # only the size-6 class exceeds n*gamma = log2 5
-        assert overflow_prob(bern_src, idx4, math.log2(5) / 4) == pytest.approx(
-            6 / 16, abs=1e-15)
-
-    def test_nonincreasing_in_gamma(self, bernoulli):
-        src = SourceSpec(bernoulli, theta_for_p1(0.3))
-        idx = build_type_index(bernoulli, 8, Grid.create(n=8, s=1.0, d=1))
-        vals = [overflow_prob(src, idx, g) for g in np.linspace(-0.1, 1.1, 40)]
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+        # only the size-6 class exceeds n*gamma = log2 5; the classes ascend
+        # by size, so it is the last, and it carries the overflow 6/16
+        masses = class_masses(bern_src, idx4)
+        assert (idx4.log2_sizes > math.log2(5)).tolist() == [False] * 4 + [True]
+        assert masses[-1] == pytest.approx(6 / 16, abs=1e-15)
 
     def test_mass_partition_identity(self, bernoulli, ternary):
         for fam, theta in [(bernoulli, theta_for_p1(0.3)), (ternary, (0.6, -0.4))]:
@@ -104,14 +93,18 @@ class TestOverflow:
             assert math.fsum(class_masses(src, idx)) == pytest.approx(1.0, abs=1e-12)
 
     def test_markov_overflow_sums_masses_of_larger_classes(self, flip_markov):
+        # at the codebook cut the overflow P[log2 |T| > n gamma], the mass of
+        # the larger classes, is at most epsilon, and M counts the rest
         src = SourceSpec(flip_markov, (1.0,))
         idx = markov_type_index(flip_markov, 10, Grid.create(n=10, s=0.5, d=1))
         masses = class_masses(src, idx)
         assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
-        for gamma in (0.0, 0.3, 0.6, 0.9):
-            expected = math.fsum(mass for size, mass in zip(idx.sizes, masses)
-                                 if size > 2 ** (10 * gamma))
-            assert overflow_prob(src, idx, gamma) == pytest.approx(expected, abs=1e-15)
+        for eps in (0.05, 0.2, 0.5, 0.8):
+            rep = m_eps(src, idx, eps)
+            # distinct sizes up to 2^10 differ by far more than 1e-9 in log2
+            over = [v > 10 * rep.gamma + 1e-9 for v in idx.log2_sizes.tolist()]
+            assert math.fsum(mass for mass, big in zip(masses, over) if big) <= eps
+            assert rep.M == sum(size for size, big in zip(idx.sizes, over) if not big)
 
 
 class TestMEps:

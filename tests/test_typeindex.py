@@ -13,6 +13,7 @@ them eagerly.
 
 import gc
 import math
+from bisect import bisect_right
 from itertools import accumulate, product
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import tscode.typeclass
 from tscode.codec import ClassOrdering
 from tscode.errors import BudgetError
-from tscode.family import FamilySpec, evaluate, suffstat
+from tscode.family import FamilySpec, evaluate
 from tscode.markov import (
     MarkovFamilySpec,
     _all_path_stats,
@@ -31,10 +32,11 @@ from tscode.markov import (
     markov_type_index,
     transition_matrix,
 )
-from tscode.pointtypes import ExactStatMap, derive_lattice, point_class_of, point_type_index
+from tscode.pointtypes import ExactStatMap, derive_lattice, point_type_index
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import SourceSpec, class_masses
 from tscode.typeclass import check_budget, composition_array, group_rows, multinomial
+from conftest import class_id, lattice_key, mean_stat
 
 MAX_N = {2: 7, 3: 7, 4: 5}
 
@@ -57,9 +59,9 @@ def _check_ordering(ordering, m, key_of, prob_of, masses):
         r = ordering.rank(xs)
         ranks.append(r)
         assert ordering.unrank(r) == xs
-        c = index.class_of(xs)
+        # the class whose rank range holds r has the sequence's own key
+        c = bisect_right(starts, r) - 1
         assert tuple(index.keys[c]) == key_of(xs)
-        assert starts[c] <= r < starts[c + 1]
         exhaustive[c].append(prob_of(xs))
     assert sorted(ranks) == list(range(m ** n)) == list(range(ordering.total))
     assert pairs == [(size, tuple(index.keys[c])) for c, size in enumerate(index.sizes)]
@@ -91,13 +93,10 @@ def _memoryless_index(spec, mode, n, s, anchor):
         grid = Grid.create(n=n, s=s, d=spec.d, anchor=anchor)
 
         def key_of(xs):
-            return tuple(grid.cell_index(suffstat(spec, xs)).tolist())
+            return tuple(grid.cell_index(mean_stat(spec, xs)).tolist())
         return build_type_index(spec, n, grid), key_of
     lmap = derive_lattice(ExactStatMap.from_rational_tau(spec))
-
-    def key_of(xs):
-        return point_class_of(lmap, spec, xs).scaled
-    return point_type_index(spec, lmap, n), key_of
+    return point_type_index(spec, lmap, n), lambda xs: lattice_key(lmap, xs)
 
 
 class TestColumnarIndex:
@@ -177,7 +176,7 @@ def test_indexes_and_orderings_leave_no_reference_cycles(ternary, sqrt2_family, 
         assert ordering.decode(ordering.encode(xs)) == xs
         # the cached class views must not hold the index that caches them
         assert len(index.classes) == len(ordering.classes) == len(index.sizes)
-        assert index.sizes[index.class_of(xs)] >= 1
+        assert index.sizes[class_id(index, xs)] >= 1
     del index, ordering, indexes
     assert gc.collect() == 0
 
@@ -241,10 +240,9 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
     for _ in range(20):
         xs = tuple(int(x) for x in rng.integers(1, 4, size=n))
         assert ordering.decode(ordering.encode(xs)) == xs
-        assert index.class_of(xs) == index.member_class[index.members[index.locate(xs)[0]]]
     assert not set(LAZY_COLUMNS) & set(vars(index))
     # nor does the class size lookup
-    assert index.sizes[index.class_of(xs)] >= 1
+    assert index.sizes[class_id(index, xs)] >= 1
     assert not {"keys", "centers"} & set(vars(index))
     # each equals the formula that used to build it eagerly
     bounds = index.bounds.tolist()
