@@ -16,7 +16,6 @@ from .family import (
     entropy,
     evaluate,
     mle,
-    psi,
     varentropy,
 )
 from .markov import (
@@ -39,7 +38,6 @@ from .rates import (
     RateReport,
     SourceSpec,
     build_index,
-    eps_rate,
     gaussian_Q,
     gaussian_Qinv,
     m_eps,

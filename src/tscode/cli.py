@@ -159,9 +159,11 @@ def _atomic_write(path: Path, data) -> None:
 def _read_sequence(path: Path, m: int) -> tuple[int, ...]:
     """The symbols of a sequence file, each an integer in 1..m."""
     try:
-        tokens = path.read_text().split()
+        tokens = path.read_text(encoding="utf-8").split()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read sequence file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"sequence file {path} is not UTF-8 text: {exc}") from None
     if not tokens:
         raise SchemaError(f"sequence file {path} is empty")
     try:

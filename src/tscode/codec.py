@@ -5,7 +5,7 @@ lexicographic class key), then mapped onto the canonical binary-string
 enumeration {empty, 0, 1, 00, 01, 10, 11, 000, ...} in which the k-th string
 has length floor(log2(k+1)). The code is one-to-one but not prefix-free.
 The sequence of rank k gets the k-th string, so a codeword is carried as the
-integer k; only the container file and displays form its bits.
+integer k; only the container file forms its bits.
 
 Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
@@ -40,7 +40,8 @@ BLOCK = 64  # layout positions between two exact checkpoints
 @dataclass(frozen=True)
 class Codeword:
     """The k-th string of the enumeration {empty, 0, 1, 00, ...}, held as its
-    ``index`` k; ``bits``, of ``length`` floor(log2(k+1)), is for display."""
+    ``index`` k: the string of ``length`` w = floor(log2(k+1)) bits whose
+    value is k + 1 - 2^w."""
 
     index: int
 
@@ -51,17 +52,6 @@ class Codeword:
     @property
     def length(self) -> int:
         return (self.index + 1).bit_length() - 1
-
-    @property
-    def bits(self) -> str:
-        return bin(self.index + 1)[3:]  # k + 1 in binary without its leading 1
-
-    @classmethod
-    def from_bits(cls, bits: str) -> Codeword:
-        """The codeword whose string is ``bits``: index 2^len - 1 + value(bits)."""
-        if bits.strip("01"):
-            raise ValueError(f"codeword must contain only 0/1, got {bits!r}")
-        return cls(int("1" + bits, 2) - 1)
 
 
 class ClassOrdering:

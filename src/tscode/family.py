@@ -168,11 +168,6 @@ def evaluate(spec: FamilySpec, theta) -> ModelEval:
     return ModelEval(theta=th, psi=psi, pmf=pmf, grad_psi=grad, hess_psi=hess)
 
 
-def psi(spec: FamilySpec, theta) -> float:
-    """Base-2 log-normalizer log2 sum_x 2^<theta, tau(x)>."""
-    return evaluate(spec, theta).psi
-
-
 def entropy(spec: FamilySpec, theta) -> float:
     """Entropy in bits/symbol via the closed form -<theta, grad psi> + psi."""
     ev = evaluate(spec, theta)

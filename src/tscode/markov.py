@@ -120,22 +120,13 @@ def stationary_dist(p: np.ndarray) -> np.ndarray:
 
 
 def _check_irreducible(p: np.ndarray):
+    """Refuse a chain in which some state cannot reach another. Entry (a, b)
+    of the boolean power (I | A)^(m-1) of the zero pattern A is set iff a
+    walk of at most m - 1 steps leads from a to b, and a shortest path
+    between two of m states takes at most m - 1."""
     m = p.shape[0]
-    adj = p > 0
-    for mat in (adj, adj.T):
-        reached = np.zeros(m, dtype=bool)
-        reached[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in np.nonzero(mat[a])[0]:
-                    if not reached[b]:
-                        reached[b] = True
-                        nxt.append(int(b))
-            frontier = nxt
-        if not reached.all():
-            raise ValueError("chain is reducible (zero-pattern reachability failed)")
+    if not np.linalg.matrix_power((p > 0) | np.eye(m, dtype=bool), m - 1).all():
+        raise ValueError("chain is reducible (zero-pattern reachability failed)")
 
 
 def entropy_rate(mspec: MarkovFamilySpec, theta) -> float:

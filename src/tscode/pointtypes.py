@@ -219,10 +219,16 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
 
 def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
                      budget: int | None = None) -> TypeIndex:
-    """Group all n-compositions by their exact scaled lattice point."""
+    """Group all n-compositions by their exact scaled lattice point. Raises
+    SpecError when a key n L(x^n) might not fit in int64, before any int64
+    is formed: each key coordinate is at most n max|L| in magnitude."""
     m = spec.alphabet.size
     check_budget("composition enumeration", composition_count(n, m),
                  DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
+    widest = max(abs(v) for row in lmap.L for v in row)
+    if n * widest >= 2 ** 63:
+        raise SpecError(f"lattice keys n L(x^n) out of int64 range at n={n}: the largest "
+                        f"|L| entry has {widest.bit_length()} bits")
     comps = composition_array(n, m)
 
     def centers_of_keys(keys):

@@ -118,11 +118,6 @@ def m_eps(source: SourceSpec, index: TypeIndex, epsilon: float) -> RateReport:
                       rate=(m_total - 1).bit_length() / n, mode=index.mode)
 
 
-def eps_rate(source: SourceSpec, index: TypeIndex, epsilon: float) -> float:
-    """Coding rate ceil(log2 M(eps)) / n."""
-    return m_eps(source, index, epsilon).rate
-
-
 def gaussian_Q(z: float) -> float:
     """Standard normal tail probability."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -214,7 +209,7 @@ def third_order_fit(source: SourceSpec, n_list, epsilon: float,
     for n in ns:
         index = build_index(source.family, mode, n, s=s, anchor=anchor, stat_map=stat_map,
                             budget=budget)
-        rate = eps_rate(source, index, epsilon)
+        rate = m_eps(source, index, epsilon).rate
         points.append((n, rate, n * rate - n * h - sigma * math.sqrt(n) * qi))
     slope, intercept, residuals = fit_excess(points)
     return FitReport(slope=slope, intercept=intercept, residuals=residuals,

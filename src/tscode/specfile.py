@@ -228,9 +228,11 @@ def _parse_stat_map(family: FamilySpec, fields) -> ExactStatMap:
 def parse_spec_file(path: str | Path) -> ParsedSpec:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileNotFoundError(f"cannot read spec file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"spec file {p} is not UTF-8 text: {exc}") from None
     return parse_spec_text(text)
 
 

@@ -42,16 +42,6 @@ ID_LIMIT_HINT = "member ids are int32, so an index holds fewer than 2^31 members
 KEY_BLOCK = 1 << 16  # rows per call of a TypeIndex's keys_of
 
 
-def multinomial(counts: Sequence[int]) -> int:
-    """Exact multinomial coefficient n! / prod(k_i!)."""
-    total = 0
-    out = 1
-    for k in counts:
-        total += k
-        out *= math.comb(total, k)
-    return out
-
-
 def composition_count(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
@@ -95,8 +85,9 @@ def colex_rank(counts: Sequence[int]) -> int:
 
 def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     """One exact multinomial per count multiset of ``comps``, an (N, m) array
-    of every m-part composition of one n, and each composition's row in that
-    list (int32); compositions with equal multisets share one int.
+    of every m-part composition of one n (m >= 2, as every alphabet has), and
+    each composition's row in that list (int32); compositions with equal
+    multisets share one int.
 
     A multiset is an ascending count vector a_0 <= ... <= a_{m-1}. Fixing
     a_2..a_{m-1} leaves r = a_0 + a_1 and a block of rows (k, r - k),
@@ -111,9 +102,7 @@ def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     ascending vector has a_j <= n / (m - j)). That value is below
     C(n + m - 1, m - 1) = N, so it fits in int64 and indexes a dense lookup.
     """
-    N, m = comps.shape
-    if m == 1:
-        return [1], np.zeros(N, dtype=np.int32)
+    m = comps.shape[1]
     n = int(comps[0].sum())
     weights = [1]
     for j in range(m - 2):
@@ -157,33 +146,22 @@ def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     return values, lookup[np.sort(comps, axis=1) @ np.array(weights, dtype=np.int64)]
 
 
-def rank_in_composition(counts: Sequence[int], sym_idx, size: int | None = None) -> int:
-    """Lexicographic index of a sequence (0-based symbols, a list or 1-D
-    integer array) among the permutations of its multiset ``counts``;
-    ``size`` is their number, the multinomial of the counts, when the caller
-    already holds it."""
-    seq = np.asarray(sym_idx, dtype=np.int64)
-    if seq.ndim != 1 or np.bincount(seq, minlength=len(counts)).tolist() != list(counts):
-        raise ValueError(f"counts {list(counts)} do not match the sequence")
-    return rank_counted(counts, seq, size)
-
-
-def rank_counted(counts: Sequence[int], seq: np.ndarray, size: int | None = None) -> int:
-    """``rank_in_composition`` of a 1-D integer array whose counts the caller
-    took: short sequences take the per-symbol loop; from ``SPLIT_MIN_N``
-    symbols on the rank is summed by binary splitting, the same integer."""
+def rank_counted(counts: Sequence[int], seq: np.ndarray, size: int) -> int:
+    """Lexicographic index of a 1-D integer array of 0-based symbols among
+    the permutations of its multiset ``counts``, which the caller took from
+    it; ``size`` is their number, the multinomial of the counts. Short
+    sequences take the per-symbol loop; from ``SPLIT_MIN_N`` symbols on the
+    rank is summed by binary splitting, the same integer."""
     if len(seq) < SPLIT_MIN_N:
         return rank_per_symbol(counts, seq.tolist(), size)
     return rank_binary_split(counts, seq, size)
 
 
-def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int], size: int | None = None) -> int:
-    """``rank_in_composition`` by one big-integer step per symbol; the counts
-    must match the sequence."""
+def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int], size: int) -> int:
+    """``rank_counted`` by one big-integer step per symbol; the counts must
+    match the sequence."""
     rem_counts = list(counts)
     remaining = sum(rem_counts)
-    if size is None:
-        size = multinomial(rem_counts)
     rank = 0
     for x in sym_idx:
         for y in range(x):
@@ -195,8 +173,8 @@ def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int], size: int | N
     return rank
 
 
-def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int | None = None) -> int:
-    """``rank_in_composition`` by binary splitting (Haible & Papanikolaou
+def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int) -> int:
+    """``rank_counted`` by binary splitting (Haible & Papanikolaou
     1998); the counts must match the int64 sequence ``x``.
 
     At position i, q_i = n - i symbols remain, S_i of them below x_i and p_i
@@ -236,8 +214,6 @@ def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int | None = N
     runs = [a.astype(object) for a in runs]
     for _ in range(object_levels):
         runs = _join_pairs(*runs)
-    if size is None:
-        size = multinomial(counts)
     rank = 0
     for t, pp, qq in zip(*(a.tolist() for a in runs)):
         rank += size * t // qq
@@ -257,16 +233,12 @@ def rank_out_of_range(k: int, total: int) -> ValueError:
     return ValueError(f"{rank} is outside [0, total) for a {total.bit_length()}-bit total")
 
 
-def unrank_in_composition(counts: Sequence[int], k: int,
-                          size: int | None = None) -> tuple[int, ...]:
+def unrank_in_composition(counts: Sequence[int], k: int, size: int) -> tuple[int, ...]:
     """The sequence at rank ``k`` among the permutations of ``counts``, in
     symbols 1..m (``counts[j]`` counts symbol j + 1, index j of a rank);
-    ``size`` is their number, the multinomial of the counts, when the caller
-    already holds it."""
+    ``size`` is their number, the multinomial of the counts."""
     k = operator.index(k)
     rem_counts = list(counts)
-    if size is None:
-        size = multinomial(rem_counts)
     if not 0 <= k < size:
         raise rank_out_of_range(k, size)
     out = []
@@ -506,10 +478,9 @@ class TypeIndex:
             return pos, 0
         return pos, rank_counted(counts, idx, self.grouped_sizes[pos])
 
-    def sequence_of(self, member: int, within: int, size: int | None = None) -> tuple[int, ...]:
+    def sequence_of(self, member: int, within: int, size: int) -> tuple[int, ...]:
         """The 1-based sequence at rank ``within`` in a member, the inverse of
-        ``locate``; ``size`` is the member's exact sequence count, when the
-        caller holds it."""
+        ``locate``; ``size`` is the member's exact sequence count."""
         if self.mode == "markov":
             return tuple(y + 1 for y in unpack_path(self.alphabet_size, member, self.n))
         return unrank_in_composition(self.member_stats[member].tolist(), within, size)

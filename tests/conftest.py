@@ -67,3 +67,12 @@ def lattice_key(lmap, xs):
 def class_id(index, xs):
     """The class of the member that the codec's ``locate`` finds for a sequence."""
     return int(index.member_class[index.members[index.locate(xs)[0]]])
+
+
+def multinomial(counts):
+    """The number of sequences with symbol counts ``counts``, n! / prod(k!),
+    from factorials: a reference independent of the index's size table."""
+    out = math.factorial(sum(counts))
+    for k in counts:
+        out //= math.factorial(k)
+    return out

@@ -56,6 +56,21 @@ rho_max 2
 theta_star 0.6 -0.4
 """
 
+# tau(3) is the double nearest 0.1, whose denominator 2^55 the lattice map
+# clears: L = (0, 2^55, 3602879701896397), so keys past n = 255 leave int64
+WIDE_SPEC = """
+alphabet_size 3
+d 1
+tau 0
+tau 1
+tau 0.1
+rho_max 3
+basis 1 one=1
+coeff 2 1 1
+coeff 3 1 3602879701896397/36028797018963968
+theta_star 1
+"""
+
 FLIP_SPEC = """
 alphabet_size 2
 d 1
@@ -146,19 +161,19 @@ class TestContainerFormat:
     def test_round_trip(self):
         c = containerfmt.Container(
             spec_hash=bytes(range(32)), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=10, codeword=Codeword.from_bits("10110"))
+            anchor=(0.0,), x0=None, n=10, codeword=Codeword(2 ** 5 - 1 + 0b10110))
         assert containerfmt.unpack(containerfmt.pack(c)) == c
 
     def test_markov_round_trip(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="markov", s=2.0,
-            anchor=(0.5,), x0=1, n=12, codeword=Codeword.from_bits(""))
+            anchor=(0.5,), x0=1, n=12, codeword=Codeword(0))
         assert containerfmt.unpack(containerfmt.pack(c)) == c
 
     def test_truncation_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="point", s=0.0,
-            anchor=(), x0=None, n=4, codeword=Codeword.from_bits("11"))
+            anchor=(), x0=None, n=4, codeword=Codeword(2 ** 2 - 1 + 0b11))
         data = containerfmt.pack(c)
         with pytest.raises(ContainerError, match="truncated"):
             containerfmt.unpack(data[:-1])
@@ -170,7 +185,7 @@ class TestContainerFormat:
     def test_trailing_bytes_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=4, codeword=Codeword.from_bits("1"))
+            anchor=(0.0,), x0=None, n=4, codeword=Codeword(2 ** 1 - 1 + 0b1))
         with pytest.raises(ContainerError, match="trailing"):
             containerfmt.unpack(containerfmt.pack(c) + b"\x00")
 
@@ -200,7 +215,7 @@ class TestContainerFormat:
     def test_nonzero_padding_detected(self):
         c = containerfmt.Container(
             spec_hash=bytes(32), mode="quantized", s=1.0,
-            anchor=(0.0,), x0=None, n=4, codeword=Codeword.from_bits("1"))
+            anchor=(0.0,), x0=None, n=4, codeword=Codeword(2 ** 1 - 1 + 0b1))
         data = bytearray(containerfmt.pack(c))
         data[-1] |= 0x01
         with pytest.raises(ContainerError, match="padding"):
@@ -218,6 +233,7 @@ def workdir(tmp_path):
     (tmp_path / "sqrt2.spec").write_text(SQRT2_SPEC)
     (tmp_path / "flip.spec").write_text(FLIP_SPEC)
     (tmp_path / "tern.spec").write_text(TERN_SPEC)
+    (tmp_path / "wide.spec").write_text(WIDE_SPEC)
     return tmp_path
 
 
@@ -246,6 +262,13 @@ class TestValidateCommand:
 
     def test_unreadable_exit_1(self, workdir):
         assert main(["validate", "--spec", str(workdir / "missing.spec")]) == 1
+
+    def test_non_utf8_spec_is_a_schema_error(self, workdir, capsys):
+        spec = workdir / "latin1.spec"
+        spec.write_bytes(BERN_SPEC.replace("Bernoulli", "Bernoulli caf\xe9").encode("latin-1"))
+        assert main(["validate", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"schema error: spec file {spec} is not UTF-8 text: 'utf-8' codec can't decode")
 
 
 class TestEncodeDecodeCommands:
@@ -347,6 +370,36 @@ class TestEncodeDecodeCommands:
         assert capsys.readouterr().err == f"schema error: sequence file {seq}{sep}{problem}\n"
         assert not cont.exists()
 
+    def test_non_utf8_symbol_file_is_a_schema_error(self, workdir, capsys):
+        seq = workdir / "bad.txt"
+        seq.write_bytes(b"\xff\xfe1 2 1\n")
+        cont = workdir / "bad.tsz"
+        assert main(["encode", "--spec", str(workdir / "bern.spec"), "--mode", "quantized",
+                     str(seq), str(cont)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"schema error: sequence file {seq} is not UTF-8 text: 'utf-8' codec can't decode")
+        assert not cont.exists()
+
+    def test_point_keys_past_int64_exit_3_and_5(self, workdir, capsys):
+        # 700 * 2^55 >= 2^63: encode refuses the index, and decode a
+        # container of that n as corrupt, instead of merging lattice points
+        spec = workdir / "wide.spec"
+        seq = workdir / "seq.txt"
+        seq.write_text(" ".join(str(i % 3 + 1) for i in range(700)) + "\n")
+        cont = workdir / "seq.tsz"
+        assert main(["encode", "--spec", str(spec), "--mode", "point", str(seq), str(cont)]) == 3
+        assert capsys.readouterr().err == ("invariant error: lattice keys n L(x^n) out of int64 "
+                                           "range at n=700: the largest |L| entry has 56 bits\n")
+        assert not cont.exists()
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(WIDE_SPEC).spec_hash, mode="point", s=0.0, anchor=(),
+            x0=None, n=700, codeword=Codeword(0))))
+        assert main(["decode", "--spec", str(spec), "--mode", "point",
+                     str(cont), str(workdir / "never.txt")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("container error: ") and "out of int64 range at n=700" in err
+        assert not (workdir / "never.txt").exists()
+
     @pytest.mark.parametrize("spec_file, mode, header, needed", [
         ("flip.spec", "markov", dict(s=1.0, anchor=(0.0,), x0=1), "2^4294967295"),
         ("bern.spec", "quantized", dict(s=1.0, anchor=(0.0,), x0=None), str(2 ** 32)),
@@ -357,7 +410,7 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=2 ** 32 - 1, codeword=Codeword.from_bits("101"), **header)))
+            n=2 ** 32 - 1, codeword=Codeword(2 ** 3 - 1 + 0b101), **header)))
         start = time.perf_counter()
         assert main(["decode", "--spec", str(spec), "--mode", mode,
                      str(cont), str(workdir / "never.txt")]) == 4
@@ -375,7 +428,7 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=n, codeword=Codeword.from_bits("101"), **header)))
+            n=n, codeword=Codeword(2 ** 3 - 1 + 0b101), **header)))
         assert main(["decode", "--spec", str(spec), "--mode", mode, "--budget", str(2 ** 40),
                      str(cont), str(workdir / "never.txt")]) == 4
         assert "member ids are int32" in capsys.readouterr().err
@@ -391,7 +444,7 @@ class TestEncodeDecodeCommands:
         cont = workdir / "forged.tsz"
         cont.write_bytes(containerfmt.pack(containerfmt.Container(
             spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode,
-            n=0, codeword=Codeword.from_bits(""), **header)))
+            n=0, codeword=Codeword(0), **header)))
         assert main(["decode", "--spec", str(spec), "--mode", mode,
                      str(cont), str(workdir / "never.txt")]) == 5
         assert "container blocklength n=0" in capsys.readouterr().err
@@ -530,6 +583,28 @@ class TestCliRoundTrip:
 
 
 class TestRateFitCheckCommands:
+    @pytest.mark.parametrize("spec_text, args, bits", [
+        (WIDE_SPEC, ["rate", "--n", "700"], 56),
+        (WIDE_SPEC, ["rate", "--n", "300"], 56),
+        (WIDE_SPEC, ["fit", "--n-grid", "64,128,256"], 56),
+        # an entry of 10^23 does not fit an int64 row of L at any n
+        (WIDE_SPEC.replace("0.1", "1e-23").replace("3602879701896397/36028797018963968", "1e-23"),
+         ["rate", "--n", "4"], 77),
+    ], ids=["rate-700", "rate-300", "fit", "deep-entry"])
+    def test_point_keys_past_int64_exit_3(self, workdir, capsys, spec_text, args, bits):
+        spec = workdir / "keys.spec"
+        spec.write_text(spec_text)
+        out = workdir / "out"
+        assert main([*args, "--spec", str(spec), "--mode", "point", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant error: lattice keys n L(x^n) out of int64 range")
+        assert err.endswith(f"the largest |L| entry has {bits} bits\n")
+        assert not out.exists()
+
+    def test_point_keys_at_255_still_fit(self, workdir, capsys):
+        assert main(["rate", "--spec", str(workdir / "wide.spec"), "--mode", "point",
+                     "--n", "255"]) == 0
+
     def test_rate_reproduces_worked_example(self, workdir, capsys):
         # theta_star = 0 for the uniform source of the worked example
         spec = workdir / "uniform.spec"

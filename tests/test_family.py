@@ -14,7 +14,6 @@ from tscode.family import (
     hull_distance,
     mle,
     mle_batch,
-    psi,
     varentropy,
 )
 from tscode.quantized import Grid, build_type_index
@@ -49,17 +48,17 @@ class TestConstruction:
 
     def test_theta_dimension_mismatch_is_spec_error(self, bernoulli):
         with pytest.raises(SpecError):
-            psi(bernoulli, [0.0, 1.0])
+            evaluate(bernoulli, [0.0, 1.0]).psi
 
     def test_theta_norm_bounded(self, bernoulli):
         with pytest.raises(SpecError):
-            psi(bernoulli, [bernoulli.rho_max + 1.0])
+            evaluate(bernoulli, [bernoulli.rho_max + 1.0]).psi
 
 
 class TestPsiAndSequenceProbability:
     def test_psi_zero_is_log_alphabet(self, bernoulli, ternary):
-        assert psi(bernoulli, [0.0]) == pytest.approx(1.0, abs=1e-15)
-        assert psi(ternary, [0.0, 0.0]) == pytest.approx(math.log2(3), abs=1e-15)
+        assert evaluate(bernoulli, [0.0]).psi == pytest.approx(1.0, abs=1e-15)
+        assert evaluate(ternary, [0.0, 0.0]).psi == pytest.approx(math.log2(3), abs=1e-15)
 
     def test_bernoulli_theta_one(self, bernoulli):
         ev = evaluate(bernoulli, [1.0])
@@ -185,7 +184,8 @@ class TestModelEvalInvariants:
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = step
-                fd = (psi(ternary, theta + e) - psi(ternary, theta - e)) / (2 * step)
+                fd = (evaluate(ternary, theta + e).psi
+                      - evaluate(ternary, theta - e).psi) / (2 * step)
                 assert abs(fd - ev.grad_psi[j]) <= 1e-6
 
     def test_hessian_is_statistic_covariance(self, ternary):
@@ -248,11 +248,11 @@ class TestMle:
         stat = mean_stat(ternary, xs)
         theta_hat = mle(ternary, stat)
         # log2 p_theta(x^n) = n (<theta, stat> - psi(theta))
-        best = len(xs) * (float(np.dot(theta_hat, stat)) - psi(ternary, theta_hat))
+        best = len(xs) * (float(np.dot(theta_hat, stat)) - evaluate(ternary, theta_hat).psi)
         for _ in range(100):
             v = rng.normal(size=2)
             v *= rng.uniform(0, ternary.rho_max) / max(np.linalg.norm(v), 1e-12)
-            assert best >= len(xs) * (float(np.dot(v, stat)) - psi(ternary, v)) - 1e-9
+            assert best >= len(xs) * (float(np.dot(v, stat)) - evaluate(ternary, v).psi) - 1e-9
 
     def test_hull_distance(self, bernoulli):
         assert hull_distance(bernoulli, [0.5]) <= 1e-9
@@ -321,8 +321,8 @@ def test_psi_shift_invariance(m, seed):
     shift = rng.normal(size=2)
     fam2 = FamilySpec.create((tau + shift).tolist(), rho_max=2.0)
     theta = rng.uniform(-1.0, 1.0, size=2)  # |theta| <= sqrt 2, inside rho_max 2
-    assert psi(fam2, theta) == pytest.approx(
-        psi(fam, theta) + float(np.dot(theta, shift)), abs=1e-9)
+    assert evaluate(fam2, theta).psi == pytest.approx(
+        evaluate(fam, theta).psi + float(np.dot(theta, shift)), abs=1e-9)
 
 
 def _kkt_residual(spec, target, theta):
@@ -365,9 +365,9 @@ def test_mle_batch_matches_scalar_solves(case):
             assert np.linalg.norm(theta) <= spec.rho_max * (1 + 1e-15)
             residual = _kkt_residual(spec, target, theta)
             assert residual <= 1e-9
-            assert psi_row == pytest.approx(psi(spec, theta), abs=1e-12)
+            assert psi_row == pytest.approx(evaluate(spec, theta).psi, abs=1e-12)
             ref = mle(spec, target)
-            shortfall = (float(np.dot(ref, target)) - psi(spec, ref)
+            shortfall = (float(np.dot(ref, target)) - evaluate(spec, ref).psi
                          - float(np.dot(theta, target)) + psi_row)
             # the objective is concave, so the scalar solve can beat this row
             # by at most its KKT residual times their distance; that term is

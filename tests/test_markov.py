@@ -4,11 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscode.codec import ClassOrdering
 from tscode.errors import BudgetError, SpecError
 from tscode.markov import (
     MarkovFamilySpec,
+    _check_irreducible,
     additive_variance,
     entropy_rate,
     markov_class_masses,
@@ -106,6 +109,34 @@ class TestStationary:
         p = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="reducible"):
             stationary_dist(p)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.booleans(), min_size=m * m, max_size=m * m)))
+    @settings(max_examples=400, deadline=None)
+    def test_irreducible_iff_every_state_reaches_every_other(self, pattern):
+        m = math.isqrt(len(pattern))
+        adj = np.array(pattern).reshape(m, m)
+        if _reaches_all(adj):
+            _check_irreducible(adj.astype(float))
+        else:
+            with pytest.raises(ValueError, match="chain is reducible"):
+                _check_irreducible(adj.astype(float))
+
+
+def _reaches_all(adj) -> bool:
+    """A depth-first search from every state over the zero pattern ``adj``."""
+    m = len(adj)
+    for start in range(m):
+        seen, stack = {start}, [start]
+        while stack:
+            a = stack.pop()
+            for b in range(m):
+                if adj[a][b] and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if len(seen) < m:
+            return False
+    return True
 
 
 class TestRates:

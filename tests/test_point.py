@@ -9,6 +9,7 @@ from tscode.errors import SpecError
 from tscode.family import FamilySpec, evaluate, mle_batch
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_type_index
 from tscode.quantized import Grid
+from tscode.typeclass import composition_array
 from conftest import class_id, lattice_key
 
 SQRT2 = math.sqrt(2.0)
@@ -19,6 +20,19 @@ def _centers_by_key(spec, lmap, n):
     tau(1) + recon (key / n), as the index derives it from the key."""
     idx = point_type_index(spec, lmap, n)
     return {tuple(k): c for k, c in zip(idx.keys.tolist(), idx.centers.tolist())}
+
+
+# the double nearest 0.1, a coefficient of denominator 2^55: L = (0, 2^55, L3)
+TENTH = Fraction(0.1)
+
+
+def _wide_lattice(third=TENTH):
+    """tau = (0, 1, ``third``) over the basis {1}: the lattice map clears the
+    denominator of ``third`` into symbol 2's entry."""
+    spec = FamilySpec.create([[0.0], [1.0], [float(third)]], rho_max=3.0)
+    return spec, derive_lattice(ExactStatMap(
+        spec=spec, basis_names=(("one",),), basis_hints=((1.0,),),
+        coeffs=(((Fraction(0),),), ((Fraction(1),),), ((third,),))))
 
 
 def _class_with_key(idx, key):
@@ -303,3 +317,36 @@ class TestF0:
             hi, lo = self._sandwich_devs(fam, lmap, n)
             assert hi <= c + 1e-9, (n, hi, c)
             assert lo <= 2 * c + 1e-9, (n, lo, c)
+
+
+class TestLatticeKeyRange:
+    def test_wide_lattice_map(self):
+        _, lmap = _wide_lattice()
+        assert lmap.L == ((0,), (2 ** 55,), (TENTH.numerator,))
+
+    def test_largest_blocklength_in_range_keeps_exact_keys(self):
+        # 255 * 2^55 < 2^63: every key fits, and every composition is its own
+        # exact lattice point (L3 is odd, so c2 2^55 + c3 L3 never collides)
+        spec, lmap = _wide_lattice()
+        n = 255
+        idx = point_type_index(spec, lmap, n)
+        exact = sorted((c2 * 2 ** 55 + c3 * TENTH.numerator,)
+                       for _, c2, c3 in composition_array(n, 3).tolist())
+        assert sorted(map(tuple, idx.keys.tolist())) == exact
+        assert len(exact) == len(set(exact))
+        assert idx.centers.min() >= 0.0 and idx.centers.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [256, 300, 700])
+    def test_keys_past_int64_are_refused(self, n):
+        # these n once wrapped around int64: at n = 700 228,096 classes for
+        # 246,051 lattice points, at n = 300 centers as low as -0.85
+        spec, lmap = _wide_lattice()
+        with pytest.raises(SpecError, match=f"out of int64 range at n={n}"):
+            point_type_index(spec, lmap, n)
+
+    def test_lattice_entry_past_int64_is_refused(self):
+        # an entry of 10^23 does not fit an int64 row of L at all
+        spec, lmap = _wide_lattice(Fraction(1, 10 ** 23))
+        assert lmap.L[1] == (10 ** 23,)
+        with pytest.raises(SpecError, match="77 bits"):
+            point_type_index(spec, lmap, 4)

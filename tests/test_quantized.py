@@ -15,10 +15,9 @@ from tscode.typeclass import (
     colex_rank,
     composition_array,
     composition_count,
-    multinomial,
     multiset_sizes,
 )
-from conftest import class_id, mean_stat
+from conftest import class_id, mean_stat, multinomial
 
 
 class TestGrid:
@@ -99,8 +98,11 @@ class TestCompositions:
             assert rows == sorted(rows, key=lambda c: c[::-1])
 
     def test_multinomials_align_with_enumeration(self):
-        assert multinomial((2, 3, 1)) == 60
-        cases = [(m, n) for m in range(1, 6) for n in range(9)]
+        comps = composition_array(6, 3)
+        values, rows = multiset_sizes(comps)
+        assert values[rows[comps.tolist().index([2, 3, 1])]] == 60
+        # every alphabet has m >= 2 symbols
+        cases = [(m, n) for m in range(2, 6) for n in range(9)]
         # blocks whose least k is above 0, each first size carried from the
         # block before, and for m = 4 several a_3 each starting afresh
         cases += [(m, n) for m in (2, 3, 4) for n in (17, 30, 33)]

@@ -18,7 +18,6 @@ from tscode.rates import (
     SourceSpec,
     build_index,
     class_masses,
-    eps_rate,
     gaussian_Q,
     gaussian_Qinv,
     m_eps,
@@ -335,9 +334,6 @@ class TestRateOracle:
                 else:
                     assert abs(k_formula - k_def) <= 1, (n, eps)
 
-    def test_eps_rate_is_report_rate(self, bern_src, idx4):
-        assert eps_rate(bern_src, idx4, 0.4) == m_eps(bern_src, idx4, 0.4).rate
-
     def test_blocklength_one_formula(self, sqrt2_family):
         # at n=1 a coarse grid merges the statistics 1 and sqrt(2) into one
         # cell, leaving class sizes {1, 2}; the rate is ceil(log2) of the
@@ -346,9 +342,9 @@ class TestRateOracle:
         idx = build_type_index(sqrt2_family, 1, Grid.create(n=1, s=0.6, d=1))
         assert sorted(idx.sizes) == [1, 2]
         assert m_eps(src, idx, 0.7).M == 1    # drop the merged pair (mass 2/3)
-        assert eps_rate(src, idx, 0.7) == 0.0
+        assert m_eps(src, idx, 0.7).rate == 0.0
         assert m_eps(src, idx, 0.4).M == 3    # cannot drop anything at 0.4
-        assert eps_rate(src, idx, 0.4) == 2.0
+        assert m_eps(src, idx, 0.4).rate == 2.0
 
     def test_quantized_and_point_rates_differ_when_lattice_is_larger(
             self, sqrt2_family, sqrt2_statmap):

@@ -35,8 +35,8 @@ from tscode.markov import (
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_type_index
 from tscode.quantized import Grid, build_type_index
 from tscode.rates import SourceSpec, class_masses
-from tscode.typeclass import check_budget, composition_array, group_rows, multinomial
-from conftest import class_id, lattice_key, mean_stat
+from tscode.typeclass import check_budget, composition_array, group_rows
+from conftest import class_id, lattice_key, mean_stat, multinomial
 
 MAX_N = {2: 7, 3: 7, 4: 5}
 
