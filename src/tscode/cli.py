@@ -129,12 +129,15 @@ def _build_config(args) -> RunConfig:
     budget = opts.get("budget")
     if budget is not None and budget < 1:
         problems.append(f"--budget must be positive, got {budget}")
+    seed = opts.get("seed")
+    if seed is not None and seed < 0:
+        problems.append(f"--seed must be non-negative, got {seed}")
     if problems:
         raise SchemaError("invalid configuration:\n  " + "\n  ".join(problems))
     return RunConfig(
         spec=spec, mode=mode, s=1.0 if s is None and "s" in opts else s,
         anchor=anchor, n_list=n_list,
-        epsilon=epsilon, seed=opts.get("seed"),
+        epsilon=epsilon, seed=seed,
         budget=budget,
         out=Path(opts["out"]) if opts.get("out") else None,
     )

@@ -195,7 +195,7 @@ def markov_type_index(mspec: MarkovFamilySpec, n: int, grid: Grid,
     check_budget("path enumeration", needed, budget, shown=f"{m}^{n}")
     stats = _all_path_stats(mspec, n)
     return TypeIndex(mspec, n, "markov", stats, [1], np.zeros(len(stats), dtype=np.int32),
-                     lambda sums: grid.cell_index(sums / n), grid.center_of_index)
+                     lambda sums: grid.cell_index(sums / n))
 
 
 # tsbench's analysis workload and tracer call these two by name; rates

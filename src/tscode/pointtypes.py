@@ -113,31 +113,21 @@ class ExactStatMap:
         return out
 
 
+KEY_LIMIT = 2 ** 63  # lattice entries and keys n L(x^n) are int64, below this in magnitude
+
+
 @dataclass(frozen=True)
 class LatticeMap:
-    """Reduced integer representation of the statistic.
-
-    ``L[x-1]`` is the d_prime integer vector of symbol x with L(1) = 0;
-    ``row_selection`` records which cleared-denominator rows were kept.
-    ``recon`` is the exact rational matrix taking L(x) back to
-    tau(x) - tau(1); it reconstructs tau from any lattice average.
-    """
+    """Reduced integer representation of the statistic: ``L[x-1]`` is the
+    d_prime integer vector of symbol x, with L(1) = 0 and every entry below
+    ``KEY_LIMIT`` in magnitude."""
 
     d_prime: int
     L: tuple[tuple[int, ...], ...]
-    row_selection: tuple[int, ...]
-    recon: tuple[tuple[Fraction, ...], ...]
-    tau1: tuple[float, ...]
 
     @cached_property
     def L_array(self) -> np.ndarray:
         a = np.asarray(self.L, dtype=np.int64)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def recon_array(self) -> np.ndarray:
-        a = np.asarray([[float(v) for v in row] for row in self.recon])
         a.setflags(write=False)
         return a
 
@@ -175,7 +165,9 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int | None]:
 
 def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
     """Keep the independent coefficient rows, clear their denominators, and
-    solve exactly for the reconstruction, all by one elimination routine."""
+    check exactly that L reconstructs the statistic table, all by one
+    elimination routine. Raises SpecError for an inconsistent declaration or
+    an L entry of ``KEY_LIMIT`` or more in magnitude."""
     spec = stat_map.spec
     m, d = spec.alphabet.size, spec.d
     # flattened (coordinate, basis-element) rows over symbols
@@ -199,8 +191,6 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
            + [Fraction(spec.tau[x][j]) - Fraction(spec.tau[0][j]) for j in range(d)]
            for x in range(1, m)]
     pivots = _gauss_jordan(eqs, d_prime)
-    solved = {p: row for p, row in zip(pivots, eqs) if p is not None}
-    recon = tuple(tuple(solved[a][d_prime + j] for a in range(d_prime)) for j in range(d))
     worst = max((abs(float(v)) for p, row in zip(pivots, eqs) if p is None
                  for v in row[d_prime:]), default=0.0)
     if worst > 1e-9:
@@ -208,32 +198,26 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
             f"declared decomposition is inconsistent with the statistic table "
             f"(reconstruction residual {worst:.3g})"
         )
-    return LatticeMap(
-        d_prime=d_prime,
-        L=L,
-        row_selection=selection,
-        recon=recon,
-        tau1=tuple(float(v) for v in spec.tau[0]),
-    )
+    widest = max(abs(v) for row in L for v in row)
+    if widest >= KEY_LIMIT:
+        raise SpecError(f"lattice keys n L(x^n) out of int64 range at every n: the largest "
+                        f"|L| entry has {widest.bit_length()} bits")
+    return LatticeMap(d_prime=d_prime, L=L)
 
 
 def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
                      budget: int | None = None) -> TypeIndex:
     """Group all n-compositions by their exact scaled lattice point. Raises
-    SpecError when a key n L(x^n) might not fit in int64, before any int64
-    is formed: each key coordinate is at most n max|L| in magnitude."""
+    SpecError when a key n L(x^n) might not fit in int64, before any key is
+    formed: each key coordinate is at most n max|L| in magnitude."""
     m = spec.alphabet.size
     check_budget("composition enumeration", composition_count(n, m),
                  DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
     widest = max(abs(v) for row in lmap.L for v in row)
-    if n * widest >= 2 ** 63:
+    if n * widest >= KEY_LIMIT:
         raise SpecError(f"lattice keys n L(x^n) out of int64 range at n={n}: the largest "
                         f"|L| entry has {widest.bit_length()} bits")
     comps = composition_array(n, m)
-
-    def centers_of_keys(keys):
-        return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
-
     return TypeIndex(spec, n, "point", comps, *multiset_sizes(comps),
-                     lambda counts: counts @ lmap.L_array, centers_of_keys)
+                     lambda counts: counts @ lmap.L_array)
 

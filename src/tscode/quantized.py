@@ -106,6 +106,5 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
         # which made this tall (N, m) x (m, d) product up to 10x slower
         return grid.cell_index(np.einsum("ij,jk->ik", counts.astype(float), spec.tau_array) / n)
 
-    return TypeIndex(spec, n, "quantized", comps, *multiset_sizes(comps), keys_of,
-                     grid.center_of_index)
+    return TypeIndex(spec, n, "quantized", comps, *multiset_sizes(comps), keys_of)
 

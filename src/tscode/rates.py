@@ -252,13 +252,14 @@ def normality_check(source: SourceSpec, n: int, samples: int, seed: int) -> floa
     return float(np.abs(emp - gauss).max())
 
 
-def _center_loglik(spec: FamilySpec, index: TypeIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per member of a memoryless index: its statistic average, and the
-    log-likelihood n (<theta_c, stat> - psi(theta_c)) of its sequences at the
-    ML parameter theta_c of its class's center (one batch over the centers)."""
+def _center_loglik(spec: FamilySpec, grid: Grid,
+                   index: TypeIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per member of a quantized index on ``grid``: its statistic average, and
+    the log-likelihood n (<theta_c, stat> - psi(theta_c)) of its sequences at
+    the ML parameter theta_c of its class's cuboid center (one batch)."""
     n = index.n
     stats = np.einsum("ij,jk->ik", index.member_stats.astype(float), spec.tau_array) / n
-    theta_c, psi_c = mle_batch(spec, index.centers)
+    theta_c, psi_c = mle_batch(spec, grid.center_of_index(index.keys))
     cls = index.member_class
     return stats, n * (np.einsum("ij,ij->i", theta_c[cls], stats) - psi_c[cls])
 
@@ -273,7 +274,7 @@ def ml_approx_check(spec: FamilySpec, grid: Grid, n: int,
     nonnegative by construction.
     """
     index = build_type_index(spec, n, grid, budget=budget)
-    stats, lp_center = _center_loglik(spec, index)
+    stats, lp_center = _center_loglik(spec, grid, index)
     bound = 2 * spec.kappa * grid.s
     theta_hat, psi_hat = mle_batch(spec, stats)
     lp_hat = n * (np.einsum("ij,ij->i", theta_hat, stats) - psi_hat)
@@ -292,7 +293,7 @@ def max_sandwich_deviation(spec: FamilySpec, grid: Grid, index: TypeIndex) -> fl
     """Max over all sequences of |log2 |T| - r(x^n)| for the class-size
     sandwich, where r uses the likelihood at the class's cuboid center."""
     n = index.n
-    _, lp = _center_loglik(spec, index)
+    _, lp = _center_loglik(spec, grid, index)
     r = -lp - spec.d / 2 * math.log2(n) + spec.d * math.log2(grid.s)
     return float(np.abs(index.log2_sizes[index.member_class] - r).max())
 

@@ -360,12 +360,11 @@ class TypeIndex:
     members or more, whatever the budget.
 
     The columns that the codec does not read are derived on first read and
-    then kept: per class, ``keys`` (K, kdim), ``centers`` (K, d), exact
-    ``sizes`` (Python ints) and ``log2_sizes`` (math.log2 of each exact
-    size), and per member ``member_log2_sizes`` (log2 of the member's exact
-    sequence count). Keys come from the stats of each class's first member
-    through ``keys_of``, a row-wise map from member stats to class keys, and
-    centers from the keys through ``centers_of_keys``.
+    then kept: per class, ``keys`` (K, kdim), exact ``sizes`` (Python ints)
+    and ``log2_sizes`` (math.log2 of each exact size), and per member
+    ``member_log2_sizes`` (log2 of the member's exact sequence count). Keys
+    come from the stats of each class's first member through ``keys_of``, a
+    row-wise map from member stats to class keys.
 
     Member sizes arrive as a table of exact sizes, ``size_values`` (one per
     count multiset, or the one row ``[1]`` for Markov paths), and each
@@ -379,14 +378,12 @@ class TypeIndex:
 
     def __init__(self, spec, n: int, mode: str, member_stats: np.ndarray,
                  size_values: Sequence[int], member_size_rows: np.ndarray,
-                 keys_of: Callable[[np.ndarray], np.ndarray],
-                 centers_of_keys: Callable[[np.ndarray], np.ndarray]):
+                 keys_of: Callable[[np.ndarray], np.ndarray]):
         self.spec = spec
         self.n = n
         self.mode = mode  # "quantized" | "point" | "markov"
         self.member_stats = member_stats
         self._keys_of = keys_of
-        self._centers_of_keys = centers_of_keys
         self._member_size_rows = member_size_rows
         row_log2 = np.fromiter(map(math.log2, size_values), float, count=len(size_values))
         # one stable sort: classes in key order, member ids ascending inside;
@@ -434,10 +431,6 @@ class TypeIndex:
     @cached_property
     def keys(self) -> np.ndarray:
         return _by_blocks(self._keys_of, self.member_stats[self.members[self.bounds[:-1]]])
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return np.asarray(self._centers_of_keys(self.keys), dtype=float)
 
     @cached_property
     def sizes(self) -> list[int]:

@@ -64,6 +64,13 @@ def lattice_key(lmap, xs):
     return tuple(lmap.L_array[np.asarray(xs) - 1].sum(axis=0).tolist())
 
 
+def class_stats(index):
+    """Each class's average statistic, from the counts of its first member:
+    in a point index, the exact statistic that every member shares."""
+    firsts = index.member_stats[index.members[index.bounds[:-1]]]
+    return firsts.astype(float) @ index.spec.tau_array / index.n
+
+
 def class_id(index, xs):
     """The class of the member that the codec's ``locate`` finds for a sequence."""
     return int(index.member_class[index.members[index.locate(xs)[0]]])

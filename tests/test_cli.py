@@ -70,6 +70,9 @@ coeff 2 1 1
 coeff 3 1 3602879701896397/36028797018963968
 theta_star 1
 """
+# an L entry of 10^23, past int64: no blocklength can index this lattice
+DEEP_SPEC = WIDE_SPEC.replace("0.1", "1e-23").replace("3602879701896397/36028797018963968",
+                                                      "1e-23")
 
 FLIP_SPEC = """
 alphabet_size 2
@@ -245,6 +248,18 @@ class TestValidateCommand:
     def test_point_spec_reports_lattice_dimension(self, workdir, capsys):
         assert main(["validate", "--spec", str(workdir / "sqrt2.spec")]) == 0
         assert "d_prime 2" in capsys.readouterr().out
+        # an entry of 2^55 leaves keys in int64 up to n = 255
+        assert main(["validate", "--spec", str(workdir / "wide.spec")]) == 0
+        assert capsys.readouterr().out == "valid\nkind point\nalphabet 3 d 1\nd_prime 1\n"
+
+    def test_lattice_past_int64_exit_3(self, workdir, capsys):
+        spec = workdir / "deep.spec"
+        spec.write_text(DEEP_SPEC)
+        assert main(["validate", "--spec", str(spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant error: lattice keys n L(x^n) out of int64 range at "
+                                "every n: the largest |L| entry has 77 bits\n")
 
     def test_schema_error_exit_2(self, workdir, capsys):
         bad = workdir / "bad.spec"
@@ -587,10 +602,9 @@ class TestRateFitCheckCommands:
         (WIDE_SPEC, ["rate", "--n", "700"], 56),
         (WIDE_SPEC, ["rate", "--n", "300"], 56),
         (WIDE_SPEC, ["fit", "--n-grid", "64,128,256"], 56),
-        # an entry of 10^23 does not fit an int64 row of L at any n
-        (WIDE_SPEC.replace("0.1", "1e-23").replace("3602879701896397/36028797018963968", "1e-23"),
-         ["rate", "--n", "4"], 77),
-    ], ids=["rate-700", "rate-300", "fit", "deep-entry"])
+        (DEEP_SPEC, ["rate", "--n", "4"], 77),
+        (DEEP_SPEC, ["rate", "--n", "1"], 77),
+    ], ids=["rate-700", "rate-300", "fit", "deep-entry", "deep-entry-n1"])
     def test_point_keys_past_int64_exit_3(self, workdir, capsys, spec_text, args, bits):
         spec = workdir / "keys.spec"
         spec.write_text(spec_text)
@@ -706,6 +720,23 @@ class TestRateFitCheckCommands:
         assert "normality check skipped" in capsys.readouterr().out
         assert "normality skipped theta_star=0" in \
             (outdir / "check_report.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("theta_star", ["1.2", "0"])
+    def test_check_refuses_a_negative_seed_before_any_index(self, workdir, monkeypatch,
+                                                            capsys, theta_star):
+        # a zero theta_star skips the normality section, the only seed reader
+        spec = workdir / "seed.spec"
+        spec.write_text(f"alphabet_size 2\nd 1\ntau 0\ntau 1\nrho_max 3\ntheta_star {theta_star}\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an index was built")
+
+        monkeypatch.setattr("tscode.cli.ml_approx_check", fail)
+        assert main(["check", "--spec", str(spec), "--n", "8", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("schema error: invalid configuration:\n"
+                                "  --seed must be non-negative, got -1\n")
 
     def test_runtime_error_exit_3(self, workdir, monkeypatch, capsys):
         def fail(*args, **kwargs):

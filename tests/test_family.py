@@ -108,8 +108,9 @@ def _stat_at(spec, xs):
     """A sequence's statistic average, read from the batched center
     log-likelihood pass at the member holding it."""
     n = len(xs)
-    idx = build_type_index(spec, n, Grid.create(n=n, s=1.0, d=spec.d))
-    return _center_loglik(spec, idx)[0][idx.members[idx.locate(xs)[0]]]
+    grid = Grid.create(n=n, s=1.0, d=spec.d)
+    idx = build_type_index(spec, n, grid)
+    return _center_loglik(spec, grid, idx)[0][idx.members[idx.locate(xs)[0]]]
 
 
 class TestSuffstat:

@@ -10,16 +10,12 @@ from tscode.family import FamilySpec, evaluate, mle_batch
 from tscode.pointtypes import ExactStatMap, derive_lattice, point_type_index
 from tscode.quantized import Grid
 from tscode.typeclass import composition_array
-from conftest import class_id, lattice_key
+from conftest import class_id, class_stats, lattice_key
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _centers_by_key(spec, lmap, n):
-    """Each class key of the point index at blocklength n with its center,
-    tau(1) + recon (key / n), as the index derives it from the key."""
-    idx = point_type_index(spec, lmap, n)
-    return {tuple(k): c for k, c in zip(idx.keys.tolist(), idx.centers.tolist())}
+# pivots other than 1 and columns that couple: every step of the elimination
+# must run to recover tau from L
+COUPLED_TAU = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.75], [1.0, 1.0]]
 
 
 # the double nearest 0.1, a coefficient of denominator 2^55: L = (0, 2^55, L3)
@@ -40,12 +36,13 @@ def _class_with_key(idx, key):
 
 
 def _f0_rates(spec, lmap, idx, c=0.0):
-    """The per-symbol point-class size rate at every class center of a point
+    """The per-symbol point-class size rate at every class statistic of a point
     index, from one mle_batch solve: -(<theta_hat, tau> - psi(theta_hat))
     - (d'/2n) log2(2 pi n) + c/n."""
-    theta, psi = mle_batch(spec, idx.centers)
+    stats = class_stats(idx)
+    theta, psi = mle_batch(spec, stats)
     n = idx.n
-    return (psi - np.einsum("ij,ij->i", theta, idx.centers)
+    return (psi - np.einsum("ij,ij->i", theta, stats)
             - lmap.d_prime / (2 * n) * math.log2(2 * math.pi * n) + c / n)
 
 
@@ -59,8 +56,6 @@ class TestDeriveLattice:
         lmap = derive_lattice(sqrt2_statmap)
         assert lmap.d_prime == 2
         assert lmap.L == ((0, 0), (1, 0), (0, 1))
-        assert lmap.row_selection == (0, 1)
-        assert lmap.recon == ((Fraction(1), Fraction(SQRT2)),)
 
     def test_full_ternary_rational(self, ternary):
         lmap = derive_lattice(ExactStatMap.from_rational_tau(ternary))
@@ -73,15 +68,11 @@ class TestDeriveLattice:
         assert lmap.L == ((0,), (2,), (3,))
 
     def test_coupled_rational_table_reconstructs_exactly(self):
-        # pivots other than 1 and columns that couple: every step of the
-        # elimination must run to recover tau from L
-        tau = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.75], [1.0, 1.0]]
-        fam = FamilySpec.create(tau, rho_max=2.0)
+        # derive_lattice refuses a map from which tau is not recovered
+        # exactly; TestExactStatisticOracle checks the classes it induces
+        fam = FamilySpec.create(COUPLED_TAU, rho_max=2.0)
         lmap = derive_lattice(ExactStatMap.from_rational_tau(fam))
         assert lmap.L == ((0, 0), (1, 4), (2, 3), (2, 4))
-        assert lmap.recon == ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4)))
-        # at n = 1 each symbol is a class, keyed L(x) and centered at tau(x)
-        assert _centers_by_key(fam, lmap, 1) == {lmap.L[x]: expect for x, expect in enumerate(tau)}
 
     def test_dependent_rows_reduce_dimension(self):
         # tau = (0, 1+sqrt2, 2+2sqrt2): both basis rows are proportional
@@ -100,12 +91,6 @@ class TestDeriveLattice:
         assert lmap.d_prime == 1
         assert lmap.L == ((0,), (1,), (2,))
 
-    def test_reconstruction_matches_statistics(self, sqrt2_statmap):
-        lmap = derive_lattice(sqrt2_statmap)
-        centers = _centers_by_key(sqrt2_statmap.spec, lmap, 1)
-        for x, expect in enumerate([0.0, 1.0, SQRT2]):
-            assert centers[lmap.L[x]][0] == pytest.approx(expect, abs=1e-12)
-
     def test_more_symbols_than_lattice_dimensions(self):
         # tau = (0, 1, sqrt2, 1+sqrt2): four symbols on a two-dimensional
         # lattice, consistent only up to the rounding of 1 + sqrt2
@@ -122,9 +107,6 @@ class TestDeriveLattice:
         ))
         assert lmap.d_prime == 2
         assert lmap.L == ((0, 0), (1, 0), (0, 1), (1, 1))
-        centers = _centers_by_key(fam, lmap, 1)
-        for x, expect in enumerate(taus):
-            assert centers[lmap.L[x]][0] == pytest.approx(expect, abs=1e-12)
 
     def test_all_zero_coefficients_rejected_as_trivial(self, sqrt2_family):
         zero = (Fraction(0), Fraction(0))
@@ -231,6 +213,63 @@ class TestPointClasses:
             assert {tuple(idx.keys[c]): size for c, size in enumerate(idx.sizes)} == direct
 
 
+def _rational_case(tau):
+    """A family with a rational table, its stat map over the basis {1}, and
+    each symbol's exact statistic as Fractions of the table."""
+    fam = FamilySpec.create(tau, rho_max=2.0)
+    return ExactStatMap.from_rational_tau(fam), [tuple(map(Fraction, row)) for row in tau]
+
+
+def _q_sqrt2_case(pairs):
+    """The d = 1 family tau(x) = a + b sqrt2 over (a, b) in ``pairs``, its
+    declared stat map over the basis {1, sqrt2}, and each symbol's exact
+    statistic in Q(sqrt2) as its coefficient pair (1 and sqrt2 are
+    independent over Q, so equal statistics are equal pairs)."""
+    fam = FamilySpec.create([[a + b * SQRT2] for a, b in pairs], rho_max=3.0)
+    stat_map = ExactStatMap(spec=fam, basis_names=(("1", "sqrt2"),), basis_hints=((1.0, SQRT2),),
+                            coeffs=tuple(((Fraction(a), Fraction(b)),) for a, b in pairs))
+    return stat_map, [(Fraction(a), Fraction(b)) for a, b in pairs]
+
+
+ORACLE_CASES = {
+    "coupled rational": lambda: _rational_case(COUPLED_TAU),
+    "ternary": lambda: _rational_case([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    "sqrt2": lambda: _q_sqrt2_case([(0, 0), (1, 0), (0, 1)]),
+    # four symbols on a two-dimensional lattice: 1 + sqrt2 merges classes
+    "1 + sqrt2": lambda: _q_sqrt2_case([(0, 0), (1, 0), (0, 1), (1, 1)]),
+    # proportional basis rows: the elimination keeps one, d_prime = 1
+    "dependent rows": lambda: _q_sqrt2_case([(0, 0), (1, 1), (2, 2)]),
+}
+
+
+class TestExactStatisticOracle:
+    """The point classes against exact arithmetic that never forms L: the
+    compositions grouped by their exact statistic, from the declared table."""
+
+    @staticmethod
+    def _exact_groups(exact_rows, n):
+        groups: dict[tuple, list[int]] = {}
+        for member, counts in enumerate(composition_array(n, len(exact_rows)).tolist()):
+            stat = tuple(sum(c * row[j] for c, row in zip(counts, exact_rows)) / n
+                         for j in range(len(exact_rows[0])))
+            groups.setdefault(stat, []).append(member)
+        return sorted(groups.values())
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_classes_are_the_exact_statistic_groups(self, case):
+        stat_map, exact_rows = ORACLE_CASES[case]()
+        lmap = derive_lattice(stat_map)
+        merged = False
+        for n in range(1, 9):
+            idx = point_type_index(stat_map.spec, lmap, n)
+            bounds = idx.bounds.tolist()
+            classes = sorted(idx.members[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:]))
+            assert classes == self._exact_groups(exact_rows, n)
+            merged = merged or len(classes) < len(idx.member_class)
+        # only the ternary and sqrt2 statistics are injective on compositions
+        assert merged == (case not in ("ternary", "sqrt2"))
+
+
 class TestEquiprobability:
     def test_same_class_equal_log_probs(self, sqrt2_family, sqrt2_statmap):
         # a sequence of each member has log2 p_theta = counts . log2 pmf, the
@@ -334,19 +373,17 @@ class TestLatticeKeyRange:
                        for _, c2, c3 in composition_array(n, 3).tolist())
         assert sorted(map(tuple, idx.keys.tolist())) == exact
         assert len(exact) == len(set(exact))
-        assert idx.centers.min() >= 0.0 and idx.centers.max() <= 1.0
 
     @pytest.mark.parametrize("n", [256, 300, 700])
     def test_keys_past_int64_are_refused(self, n):
         # these n once wrapped around int64: at n = 700 228,096 classes for
-        # 246,051 lattice points, at n = 300 centers as low as -0.85
+        # 246,051 lattice points
         spec, lmap = _wide_lattice()
         with pytest.raises(SpecError, match=f"out of int64 range at n={n}"):
             point_type_index(spec, lmap, n)
 
     def test_lattice_entry_past_int64_is_refused(self):
-        # an entry of 10^23 does not fit an int64 row of L at all
-        spec, lmap = _wide_lattice(Fraction(1, 10 ** 23))
-        assert lmap.L[1] == (10 ** 23,)
-        with pytest.raises(SpecError, match="77 bits"):
-            point_type_index(spec, lmap, 4)
+        # an entry of 10^23 (symbol 2's, which clears the denominator of
+        # 10^-23) does not fit an int64 row of L, so no blocklength is indexed
+        with pytest.raises(SpecError, match="at every n: the largest [|]L[|] entry has 77 bits"):
+            _wide_lattice(Fraction(1, 10 ** 23))

@@ -244,7 +244,7 @@ def _r_at(spec, grid, xs):
     """r(x^n) = -log2 p_(theta_c)(x^n) - (d/2) log2 n + d log2 s of the class-size
     sandwich, from the batched center log-likelihood at the member holding xs."""
     idx = build_type_index(spec, grid.n, grid)
-    lp = _center_loglik(spec, idx)[1][idx.members[idx.locate(xs)[0]]]
+    lp = _center_loglik(spec, grid, idx)[1][idx.members[idx.locate(xs)[0]]]
     return -lp - spec.d / 2 * math.log2(grid.n) + spec.d * math.log2(grid.s)
 
 
@@ -282,7 +282,7 @@ class TestBoundFunctions:
         f = {}
         for n in (16, 64):
             g = Grid.create(n=n, s=1.0, d=1)
-            centers = build_type_index(bernoulli, n, g).centers
+            centers = g.center_of_index(build_type_index(bernoulli, n, g).keys)
             f[n] = _f_rate(bernoulli, g, centers)[np.flatnonzero(centers[:, 0] == 0.5)[0]]
         base = 1.0  # entropy term at the uniform mean
         term16 = base - f[16]  # (d/2n) log2 n - 3 kappa s / n at n=16
@@ -310,7 +310,8 @@ class TestBoundFunctions:
         def worst_excess(n, c):
             g = Grid.create(n=n, s=1.0, d=1)
             idx = build_type_index(fam, n, g)
-            return float((idx.log2_sizes - n * _f_rate(fam, g, idx.centers, c=c)).max())
+            centers = g.center_of_index(idx.keys)
+            return float((idx.log2_sizes - n * _f_rate(fam, g, centers, c=c)).max())
 
         cstar = worst_excess(8, 0.0)
         for n in (16, 32, 64):

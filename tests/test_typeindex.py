@@ -194,10 +194,10 @@ def test_class_views_read_the_columns(ternary, sqrt2_family, sqrt2_statmap, flip
             for c, cls in enumerate(classes):
                 assert np.array_equal(cls.members, index.members[bounds[c]:bounds[c + 1]])
         # the views read only the sizes, members and bounds
-        assert not {"keys", "centers"} & set(vars(index))
+        assert "keys" not in vars(index)
 
 
-LAZY_COLUMNS = ("keys", "centers", "sizes", "log2_sizes", "member_log2_sizes")
+LAZY_COLUMNS = ("keys", "sizes", "log2_sizes", "member_log2_sizes")
 
 
 @pytest.mark.parametrize("case", ["ternary quantized", "sqrt2 point", "sqrt2 quantized",
@@ -215,7 +215,6 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
         grid = Grid.create(n=n, s=1.0, d=2)
         index = markov_type_index(mspec, n, grid)
         member_keys = grid.cell_index(_all_path_stats(mspec, n) / n)
-        centers_of = grid.center_of_index
         member_sizes = [1] * 3 ** n
     else:
         spec = ternary if case.startswith("ternary") else sqrt2_family
@@ -225,15 +224,11 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
             lmap = derive_lattice(sqrt2_statmap)
             index = point_type_index(spec, lmap, n)
             member_keys = comps @ lmap.L_array
-
-            def centers_of(keys):
-                return np.asarray(lmap.tau1) + (keys.astype(float) / n) @ lmap.recon_array.T
         else:
             grid = Grid.create(n=n, s=1.0, d=spec.d)
             index = build_type_index(spec, n, grid)
             member_keys = grid.cell_index(np.einsum("ij,jk->ik", comps.astype(float),
                                                     spec.tau_array) / n)
-            centers_of = grid.center_of_index
         member_sizes = [multinomial(c) for c in comps.tolist()]
     # the codec reads none of them
     ordering = ClassOrdering(index)
@@ -243,12 +238,11 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
     assert not set(LAZY_COLUMNS) & set(vars(index))
     # nor does the class size lookup
     assert index.sizes[class_id(index, xs)] >= 1
-    assert not {"keys", "centers"} & set(vars(index))
+    assert "keys" not in vars(index)
     # each equals the formula that used to build it eagerly
     bounds = index.bounds.tolist()
     firsts = index.members[bounds[:-1]]
     assert np.array_equal(index.keys, member_keys[firsts])
-    assert index.centers.tobytes() == centers_of(member_keys[firsts]).tobytes()
     sizes = [sum(member_sizes[i] for i in index.members[lo:hi].tolist())
              for lo, hi in zip(bounds, bounds[1:])]
     assert index.sizes == sizes
