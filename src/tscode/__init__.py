@@ -28,7 +28,6 @@ from .markov import (
 )
 from .pointtypes import (
     ExactStatMap,
-    LatticeMap,
     derive_lattice,
     point_type_index,
 )

@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import container as containerfmt
 from .codec import ClassOrdering
 from .errors import BudgetError, ContainerError, SchemaError, SpecError
@@ -69,6 +67,17 @@ def _parse_anchor(text: str | None):
     raise SchemaError(f"anchor must be comma-separated finite reals, got {text!r}")
 
 
+def _mode_problem(mode: str, kind: str) -> str | None:
+    """Why a spec file of ``kind`` cannot be indexed in ``mode``, or None."""
+    if mode == "markov" and kind != "markov":
+        return "mode markov requires a tau2/x0 spec file"
+    if mode in ("quantized", "point") and kind == "markov":
+        return f"mode {mode} cannot use a markov spec file"
+    if mode == "point" and kind == "family":
+        return "mode point requires basis/coeff rows in the spec file"
+    return None
+
+
 def _build_config(args) -> RunConfig:
     """Check the options the command takes, reporting every problem at once."""
     opts = vars(args)
@@ -83,12 +92,9 @@ def _build_config(args) -> RunConfig:
         if mode is None:
             mode = "markov" if spec.kind == "markov" else \
                 ("point" if spec.kind == "point" else "quantized")
-        if mode == "markov" and spec.kind != "markov":
-            problems.append("mode markov requires a tau2/x0 spec file")
-        if mode in ("quantized", "point") and spec.kind == "markov":
-            problems.append(f"mode {mode} cannot use a markov spec file")
-        if mode == "point" and spec.kind == "family":
-            problems.append("mode point requires basis/coeff rows in the spec file")
+        problem = _mode_problem(mode, spec.kind)
+        if problem:
+            problems.append(problem)
     s = opts.get("s")
     if s is not None and (s <= 0 or not math.isfinite(s)):
         problems.append(f"grid scale s must be positive, got {s}")
@@ -201,17 +207,22 @@ def cmd_validate(args) -> int:
         fam = spec.family
         diagnostics.append(f"alphabet {fam.alphabet.size} d {fam.d}")
         if spec.stat_map is not None:
-            lmap = derive_lattice(spec.stat_map)
-            diagnostics.append(f"d_prime {lmap.d_prime}")
-            if lmap.d_prime < fam.d:
+            d_prime = derive_lattice(spec.stat_map).shape[1]
+            diagnostics.append(f"d_prime {d_prime}")
+            if d_prime < fam.d:
                 diagnostics.append(
-                    f"warning: declared basis gives d_prime {lmap.d_prime} < d {fam.d}"
+                    f"warning: declared basis gives d_prime {d_prime} < d {fam.d}"
                 )
             worst = max(spec.stat_map.hint_residuals())
             if worst > 1e-6:
                 diagnostics.append(
                     f"warning: basis hints deviate from tau by up to {worst:.3g}"
                 )
+    # encode and decode never read theta_star; rate, fit and check refuse it
+    try:
+        (spec.markov or spec.family).check_theta(spec.theta_star)
+    except SpecError as exc:
+        diagnostics.append(f"warning: theta_star refused by rate, fit and check: {exc}")
     print("valid")
     for line in diagnostics:
         print(line)
@@ -251,16 +262,23 @@ def cmd_decode(args) -> int:
             f"(hash {cont.spec_hash.hex()[:16]}..., expected "
             f"{cfg.spec.spec_hash.hex()[:16]}...)"
         )
-    if cont.mode != cfg.mode:
+    if args.mode is None:
+        # no --mode: the container's, if the spec's kind admits it
+        problem = _mode_problem(cont.mode, cfg.spec.kind)
+        if problem:
+            raise ContainerError(f"container mode {cont.mode} does not suit spec kind "
+                                 f"{cfg.spec.kind}: {problem}")
+    elif cont.mode != cfg.mode:
         raise ContainerError(f"container mode {cont.mode} does not match --mode {cfg.mode}")
     if cont.mode == "markov" and cont.x0 != cfg.spec.markov.x0:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
     if cont.n == 0:
         # encode refuses an empty sequence, so no container holds one
         raise ContainerError("container blocklength n=0; a sequence has at least one symbol")
-    # the grid comes from the container (point classes ignore it); the spec
-    # is valid, so a grid the index cannot be built on marks it as corrupt
-    run = replace(cfg, s=cont.s, anchor=cont.anchor)
+    # the mode, checked above, and the grid come from the container (point
+    # classes ignore the grid); the spec is valid, so a grid the index cannot
+    # be built on marks the container as corrupt
+    run = replace(cfg, mode=cont.mode, s=cont.s, anchor=cont.anchor)
     try:
         index = _build_index(run, cont.n)
     except SpecError as exc:
@@ -277,10 +295,8 @@ def _source_of(cfg: RunConfig) -> SourceSpec:
 
 def cmd_rate(args) -> int:
     cfg = _build_config(args)
-    rows = []
-    for n in cfg.n_list:
-        index = _build_index(cfg, n)
-        rows.append(m_eps(_source_of(cfg), index, cfg.epsilon))
+    source = _source_of(cfg)  # a theta_star outside the ball fails before any index
+    rows = [m_eps(source, _build_index(cfg, n), cfg.epsilon) for n in cfg.n_list]
     print(f"{'n':>6} {'epsilon':>8} {'gamma':>12} {'rate':>10}  M")
     for rep in rows:
         # M through Decimal, which has no 4,300-digit cap (kept on for input)
@@ -322,6 +338,7 @@ def cmd_check(args) -> int:
     if cfg.mode == "markov":
         raise SpecError("check currently covers memoryless families only")
     fam = cfg.spec.family
+    src = _source_of(cfg)  # a theta_star outside the ball fails before any index
     fields = []
     print("likelihood-approximation gap (statistic vs cuboid center):")
     for n in cfg.n_list:
@@ -342,9 +359,7 @@ def cmd_check(args) -> int:
         print(f"  n={n:>5}: deviation {dev:.6f} bound {2 * fam.kappa * cfg.s + cstar:.6f} "
               f"{'ok' if ok else 'VIOLATED'}")
         fields.append(("sandwich", f"n={n} dev={dev!r} ok={ok}"))
-    theta = np.asarray(cfg.spec.theta_star)
-    if np.any(theta != 0.0):
-        src = SourceSpec(fam, cfg.spec.theta_star)
+    if any(src.theta_star):
         print("normality of the plug-in self-information (1e5 samples):")
         for n in cfg.n_list:
             dev = normality_check(src, n, 100_000, seed=cfg.seed)

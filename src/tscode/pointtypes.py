@@ -13,20 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import SpecError
 from .family import FamilySpec
-from .typeclass import (
-    DEFAULT_COMPOSITION_BUDGET,
-    TypeIndex,
-    check_budget,
-    composition_array,
-    composition_count,
-    multiset_sizes,
-)
+from .typeclass import TypeIndex, composition_index
 
 
 @dataclass(frozen=True)
@@ -116,22 +108,6 @@ class ExactStatMap:
 KEY_LIMIT = 2 ** 63  # lattice entries and keys n L(x^n) are int64, below this in magnitude
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """Reduced integer representation of the statistic: ``L[x-1]`` is the
-    d_prime integer vector of symbol x, with L(1) = 0 and every entry below
-    ``KEY_LIMIT`` in magnitude."""
-
-    d_prime: int
-    L: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def L_array(self) -> np.ndarray:
-        a = np.asarray(self.L, dtype=np.int64)
-        a.setflags(write=False)
-        return a
-
-
 def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int | None]:
     """Exact Gauss-Jordan elimination, in place, one row at a time in order.
 
@@ -163,11 +139,15 @@ def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int | None]:
     return pivots
 
 
-def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
-    """Keep the independent coefficient rows, clear their denominators, and
-    check exactly that L reconstructs the statistic table, all by one
+def derive_lattice(stat_map: ExactStatMap) -> np.ndarray:
+    """The lattice map L as a read-only (m, d_prime) int64 array: row x - 1
+    is the integer vector of symbol x, and row 0 is zero.
+
+    Keeps the independent coefficient rows, clears their denominators, and
+    checks exactly that L reconstructs the statistic table, all by one
     elimination routine. Raises SpecError for an inconsistent declaration or
-    an L entry of ``KEY_LIMIT`` or more in magnitude."""
+    an L entry of ``KEY_LIMIT`` or more in magnitude (checked on Python ints,
+    before the int64 cast)."""
     spec = stat_map.spec
     m, d = spec.alphabet.size, spec.d
     # flattened (coordinate, basis-element) rows over symbols
@@ -202,22 +182,20 @@ def derive_lattice(stat_map: ExactStatMap) -> LatticeMap:
     if widest >= KEY_LIMIT:
         raise SpecError(f"lattice keys n L(x^n) out of int64 range at every n: the largest "
                         f"|L| entry has {widest.bit_length()} bits")
-    return LatticeMap(d_prime=d_prime, L=L)
+    L = np.array(L, dtype=np.int64)
+    L.setflags(write=False)
+    return L
 
 
-def point_type_index(spec: FamilySpec, lmap: LatticeMap, n: int,
+def point_type_index(spec: FamilySpec, L: np.ndarray, n: int,
                      budget: int | None = None) -> TypeIndex:
-    """Group all n-compositions by their exact scaled lattice point. Raises
-    SpecError when a key n L(x^n) might not fit in int64, before any key is
-    formed: each key coordinate is at most n max|L| in magnitude."""
-    m = spec.alphabet.size
-    check_budget("composition enumeration", composition_count(n, m),
-                 DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
-    widest = max(abs(v) for row in lmap.L for v in row)
+    """Group all n-compositions by their exact scaled lattice point n L(x^n),
+    with L from ``derive_lattice``. Raises SpecError when a key might not
+    fit in int64, before the budget check and before any key is formed:
+    each key coordinate is at most n max|L| in magnitude."""
+    widest = int(np.abs(L).max())
     if n * widest >= KEY_LIMIT:
         raise SpecError(f"lattice keys n L(x^n) out of int64 range at n={n}: the largest "
                         f"|L| entry has {widest.bit_length()} bits")
-    comps = composition_array(n, m)
-    return TypeIndex(spec, n, "point", comps, *multiset_sizes(comps),
-                     lambda counts: counts @ lmap.L_array)
+    return composition_index(spec, n, "point", lambda counts: counts @ L, budget)
 

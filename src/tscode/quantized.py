@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import SpecError
 from .family import FamilySpec
-from .typeclass import (
-    DEFAULT_COMPOSITION_BUDGET,
-    TypeIndex,
-    check_budget,
-    composition_array,
-    composition_count,
-    multiset_sizes,
-)
+from .typeclass import TypeIndex, composition_index
 
 # Relative tolerance for resolving floating-point boundary ties toward the
 # inclusive (+s/2n) side of the half-open cuboid.
@@ -96,15 +89,11 @@ def build_type_index(spec: FamilySpec, n: int, grid: Grid,
         raise SpecError(f"grid built for n={grid.n}, requested n={n}")
     if grid.d != spec.d:
         raise SpecError(f"grid dimension {grid.d} does not match family d={spec.d}")
-    m = spec.alphabet.size
-    check_budget("composition enumeration", composition_count(n, m),
-                 DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
-    comps = composition_array(n, m)
 
     def keys_of(counts):
         # einsum, not @: numpy hands a float matmul to the BLAS thread pool,
         # which made this tall (N, m) x (m, d) product up to 10x slower
         return grid.cell_index(np.einsum("ij,jk->ik", counts.astype(float), spec.tau_array) / n)
 
-    return TypeIndex(spec, n, "quantized", comps, *multiset_sizes(comps), keys_of)
+    return composition_index(spec, n, "quantized", keys_of, budget)
 

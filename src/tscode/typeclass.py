@@ -479,6 +479,19 @@ class TypeIndex:
         return unrank_in_composition(self.member_stats[member].tolist(), within, size)
 
 
+def composition_index(spec, n: int, mode: str, keys_of: Callable[[np.ndarray], np.ndarray],
+                      budget: int | None = None) -> TypeIndex:
+    """The index of every n-composition of the spec's alphabet, grouped by
+    ``keys_of`` (a row-wise map from composition counts to class keys),
+    after the enumeration is checked against ``budget`` (default
+    ``DEFAULT_COMPOSITION_BUDGET``)."""
+    m = spec.alphabet.size
+    check_budget("composition enumeration", composition_count(n, m),
+                 DEFAULT_COMPOSITION_BUDGET if budget is None else budget)
+    comps = composition_array(n, m)
+    return TypeIndex(spec, n, mode, comps, *multiset_sizes(comps), keys_of)
+
+
 def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
     """A row-wise ``fn`` applied to ``KEY_BLOCK`` rows at a time, so that its
     temporaries stay small; numpy's einsum and elementwise ops give each row

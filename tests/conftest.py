@@ -59,9 +59,9 @@ def mean_stat(spec, xs):
     return spec.tau_array[np.asarray(xs) - 1].mean(axis=0)
 
 
-def lattice_key(lmap, xs):
+def lattice_key(L, xs):
     """The exact point-class key n L(x^n) of a sequence: its summed lattice rows."""
-    return tuple(lmap.L_array[np.asarray(xs) - 1].sum(axis=0).tolist())
+    return tuple(L[np.asarray(xs) - 1].sum(axis=0).tolist())
 
 
 def class_stats(index):

@@ -80,10 +80,10 @@ def test_criterion_1_codec_bijectivity():
         sweep(ClassOrdering(build_type_index(bern, n, Grid.create(n=n, s=1.0, d=1))), 2, n)
         sweep(ClassOrdering(point_type_index(bern, bern_lattice, n)), 2, n)
 
-    tern, lmap, _ = _sqrt2_pieces()
+    tern, L, _ = _sqrt2_pieces()
     for n in range(1, 9):
         sweep(ClassOrdering(build_type_index(tern, n, Grid.create(n=n, s=1.0, d=1))), 3, n)
-        sweep(ClassOrdering(point_type_index(tern, lmap, n)), 3, n)
+        sweep(ClassOrdering(point_type_index(tern, L, n)), 3, n)
 
     flip = MarkovFamilySpec.create([[0.0], [1.0], [1.0], [0.0]], rho_max=3.0, x0=1)
     for n in range(1, 13):

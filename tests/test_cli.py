@@ -74,6 +74,9 @@ theta_star 1
 DEEP_SPEC = WIDE_SPEC.replace("0.1", "1e-23").replace("3602879701896397/36028797018963968",
                                                       "1e-23")
 
+# theta_star outside the rho_max ball: the codec runs, the analysis refuses
+FAR_SPEC = BERN_SPEC.replace("theta_star 1.2223924213364479", "theta_star 5")
+
 FLIP_SPEC = """
 alphabet_size 2
 d 1
@@ -271,6 +274,20 @@ class TestValidateCommand:
         bad.write_text("alphabet_size 2\nd 1\ntau2 0\ntau2 1\ntau2 0.5\ntau2 0\nrho_max 2\nx0 1\n")
         assert main(["validate", "--spec", str(bad)]) == 3
 
+    @pytest.mark.parametrize("spec_text, head, norm", [
+        (FAR_SPEC, "kind family\nalphabet 2 d 1", "5"),
+        (FLIP_SPEC.replace("theta_star 1", "theta_star -4"), "kind markov\nalphabet 2 d 1 x0 1",
+         "4"),
+    ], ids=["family", "markov"])
+    def test_theta_star_outside_ball_is_a_warning(self, workdir, capsys, spec_text, head, norm):
+        # encode and decode never read theta_star, so the spec stays valid
+        spec = workdir / "far.spec"
+        spec.write_text(spec_text)
+        assert main(["validate", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            f"valid\n{head}\nwarning: theta_star refused by rate, fit and check: "
+            f"theta norm {norm} exceeds rho_max 3\n")
+
     def test_markov_spec_reports_its_chain(self, workdir, capsys):
         assert main(["validate", "--spec", str(workdir / "flip.spec")]) == 0
         assert "alphabet 2 d 1 x0 1" in capsys.readouterr().out.splitlines()
@@ -333,8 +350,7 @@ class TestEncodeDecodeCommands:
         assert main(["check", "--spec", spec, "--n-grid", "4,8", "--s", "2"]) == 0
 
     @pytest.mark.parametrize("spec_text, mode, symbols", [
-        (BERN_SPEC.replace("theta_star 1.2223924213364479", "theta_star 5"),
-         "quantized", [1, 2, 2, 1, 1, 1, 2, 1]),
+        (FAR_SPEC, "quantized", [1, 2, 2, 1, 1, 1, 2, 1]),
         (FLIP_SPEC.replace("theta_star 1", "theta_star -4"), "markov", [2, 2, 1, 2, 1, 1]),
     ], ids=["quantized", "markov"])
     def test_theta_star_outside_ball_does_not_block_the_codec(self, workdir, spec_text,
@@ -344,6 +360,38 @@ class TestEncodeDecodeCommands:
         spec.write_text(spec_text)
         self._round_trip(workdir, str(spec), mode, symbols)
         assert main(["rate", "--spec", str(spec), "--mode", mode, "--n", "6"]) == 3
+
+    def test_decode_takes_the_container_mode_without_mode(self, workdir, capsys):
+        # a point spec admits quantized containers too
+        seq = workdir / "seq.txt"
+        seq.write_text("1 3 2 2 3 1 1 2 3 3 2 1 3 3 1 2\n")
+        spec, cont, out = str(workdir / "sqrt2.spec"), workdir / "seq.tsz", workdir / "seq.out"
+        assert main(["encode", "--spec", spec, "--mode", "quantized", str(seq), str(cont)]) == 0
+        assert main(["decode", "--spec", spec, str(cont), str(out)]) == 0
+        assert out.read_bytes() == seq.read_bytes()
+        out.unlink()
+        capsys.readouterr()
+        assert main(["decode", "--spec", spec, "--mode", "point", str(cont), str(out)]) == 5
+        assert capsys.readouterr().err == ("container error: container mode quantized does not "
+                                           "match --mode point\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec_file, mode, kind, problem", [
+        ("bern.spec", "point", "family", "mode point requires basis/coeff rows in the spec file"),
+        ("flip.spec", "quantized", "markov", "mode quantized cannot use a markov spec file"),
+    ], ids=["point-on-tau", "quantized-on-tau2"])
+    def test_decode_refuses_a_container_mode_the_spec_kind_rules_out(self, workdir, capsys,
+                                                                     spec_file, mode, kind,
+                                                                     problem):
+        spec = workdir / spec_file
+        cont, out = workdir / "forged.tsz", workdir / "never.txt"
+        cont.write_bytes(containerfmt.pack(containerfmt.Container(
+            spec_hash=parse_spec_text(spec.read_text()).spec_hash, mode=mode, s=0.0,
+            anchor=(), x0=None, n=4, codeword=Codeword(0))))
+        assert main(["decode", "--spec", str(spec), str(cont), str(out)]) == 5
+        assert capsys.readouterr().err == (f"container error: container mode {mode} does not "
+                                           f"suit spec kind {kind}: {problem}\n")
+        assert not out.exists()
 
     def test_hash_mismatch_refused_no_partial_output(self, workdir):
         seq = workdir / "seq.txt"
@@ -602,9 +650,11 @@ class TestRateFitCheckCommands:
         (WIDE_SPEC, ["rate", "--n", "700"], 56),
         (WIDE_SPEC, ["rate", "--n", "300"], 56),
         (WIDE_SPEC, ["fit", "--n-grid", "64,128,256"], 56),
+        (WIDE_SPEC, ["rate", "--n", "700", "--budget", "1"], 56),
         (DEEP_SPEC, ["rate", "--n", "4"], 77),
         (DEEP_SPEC, ["rate", "--n", "1"], 77),
-    ], ids=["rate-700", "rate-300", "fit", "deep-entry", "deep-entry-n1"])
+    ], ids=["rate-700", "rate-300", "fit", "rate-700-over-budget", "deep-entry",
+            "deep-entry-n1"])
     def test_point_keys_past_int64_exit_3(self, workdir, capsys, spec_text, args, bits):
         spec = workdir / "keys.spec"
         spec.write_text(spec_text)
@@ -706,6 +756,18 @@ class TestRateFitCheckCommands:
         assert "n=64" in report
         # the deviation is a plain float, written without a NumPy repr
         assert "normality n=8 dev=0." in report and "np.float64" not in report
+
+    @pytest.mark.parametrize("args", [
+        ["rate", "--n", "8"], ["fit", "--n-grid", "8,16,32"], ["check", "--n", "8"],
+    ], ids=["rate", "fit", "check"])
+    def test_theta_star_outside_ball_is_refused_before_any_index(self, workdir, capsys, args):
+        # a budget of 1 refuses every index (exit 4), so exit 3 means none was built
+        spec = workdir / "far.spec"
+        spec.write_text(FAR_SPEC)
+        assert main([*args, "--spec", str(spec), "--budget", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant error: theta norm 5 exceeds rho_max 3\n"
 
     def test_check_refuses_a_markov_spec(self, workdir, capsys):
         assert main(["check", "--spec", str(workdir / "flip.spec"), "--n-grid", "4,8"]) == 3

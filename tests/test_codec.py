@@ -243,9 +243,9 @@ class TestEncodeDecode:
             assert seen == set(range(2 ** n))
 
     def test_round_trip_point_ordering(self, sqrt2_family, sqrt2_statmap):
-        lmap = derive_lattice(sqrt2_statmap)
+        L = derive_lattice(sqrt2_statmap)
         for n in (2, 5, 7):
-            o = ClassOrdering(point_type_index(sqrt2_family, lmap, n))
+            o = ClassOrdering(point_type_index(sqrt2_family, L, n))
             for xs in product((1, 2, 3), repeat=n):
                 assert o.decode(o.encode(xs)) == xs
 

@@ -95,8 +95,8 @@ def _memoryless_index(spec, mode, n, s, anchor):
         def key_of(xs):
             return tuple(grid.cell_index(mean_stat(spec, xs)).tolist())
         return build_type_index(spec, n, grid), key_of
-    lmap = derive_lattice(ExactStatMap.from_rational_tau(spec))
-    return point_type_index(spec, lmap, n), lambda xs: lattice_key(lmap, xs)
+    L = derive_lattice(ExactStatMap.from_rational_tau(spec))
+    return point_type_index(spec, L, n), lambda xs: lattice_key(L, xs)
 
 
 class TestColumnarIndex:
@@ -221,9 +221,9 @@ def test_lazy_columns(case, ternary, sqrt2_family, sqrt2_statmap, monkeypatch):
         n = 40 if spec is ternary else 64
         comps = composition_array(n, 3)
         if case.endswith("point"):
-            lmap = derive_lattice(sqrt2_statmap)
-            index = point_type_index(spec, lmap, n)
-            member_keys = comps @ lmap.L_array
+            L = derive_lattice(sqrt2_statmap)
+            index = point_type_index(spec, L, n)
+            member_keys = comps @ L
         else:
             grid = Grid.create(n=n, s=1.0, d=spec.d)
             index = build_type_index(spec, n, grid)
@@ -257,14 +257,14 @@ def test_member_ids_stay_int32_whatever_the_budget(bernoulli, ternary, sqrt2_fam
     # refused before any enumeration, so nothing is allocated here
     budget = 2 ** 40
     check_budget("composition enumeration", 2 ** 31 - 1, budget)
-    lmap = derive_lattice(sqrt2_statmap)
+    L = derive_lattice(sqrt2_statmap)
     n = 65535  # C(n + 2, 2) = 2^31 + 2^15 ternary compositions
     calls = [
         lambda: check_budget("composition enumeration", 2 ** 31, budget),
         lambda: build_type_index(bernoulli, 2 ** 31 - 1,
                                  Grid.create(n=2 ** 31 - 1, s=1.0, d=1), budget=budget),
         lambda: build_type_index(ternary, n, Grid.create(n=n, s=1.0, d=2), budget=budget),
-        lambda: point_type_index(sqrt2_family, lmap, n, budget=budget),
+        lambda: point_type_index(sqrt2_family, L, n, budget=budget),
         lambda: markov_type_index(flip_markov, 31, Grid.create(n=31, s=1.0, d=1),
                                   budget=budget),
     ]
