@@ -272,6 +272,10 @@ def cmd_decode(args) -> int:
         raise ContainerError(f"container mode {cont.mode} does not match --mode {cfg.mode}")
     if cont.mode == "markov" and cont.x0 != cfg.spec.markov.x0:
         raise ContainerError(f"container x0 {cont.x0} does not match spec x0")
+    if cont.mode == "point" and (cont.s != 0 or cont.anchor):
+        # encode writes no grid for point classes
+        raise ContainerError(f"container grid s={cont.s!r} anchor={cont.anchor!r}: "
+                             "a point container holds s = 0 and an empty anchor")
     if cont.n == 0:
         # encode refuses an empty sequence, so no container holds one
         raise ContainerError("container blocklength n=0; a sequence has at least one symbol")

@@ -9,11 +9,10 @@ integer k; only the container file forms its bits.
 
 Within a class, members are ordered colexicographically by composition and
 lexicographically by sequence inside a composition (combinatorial number
-system indexing); Markov classes order member paths lexicographically. The
-rank inside a composition is summed by binary splitting from
-``typeclass.SPLIT_MIN_N`` symbols on. A rank and an unrank both read the
-member's exact size from the layout and hand it, with the counts taken when
-the sequence was checked, to ``rank_counted`` or to ``unrank_in_composition``.
+system indexing); Markov classes order member paths lexicographically. A
+rank and an unrank both read the member's exact size from the layout and hand
+it, with the counts taken when the sequence was checked, to ``rank_counted``
+(binary splitting at every n) or to ``unrank_in_composition``.
 
 A rank is enumerative (Cover 1973): the count of sequences in the members
 before a sequence's member, in the index's grouped layout, plus its rank

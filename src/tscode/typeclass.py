@@ -15,12 +15,10 @@ multiset, which every composition with that multiset shares; an index takes
 the table and each member's row in it.
 
 Inside a composition, sequences are ranked lexicographically (enumerative
-coding, Cover 1973). Below ``SPLIT_MIN_N`` symbols the rank takes one
-big-integer step per symbol; from there on it is summed by binary splitting
-(Haible & Papanikolaou 1998), int64 runs first and Python ints after, which
-gives the same integer with far fewer big-integer operations. The crossover
-was measured against the per-symbol loop at alphabet sizes 2 to 4. The unrank
-walks the symbols once, with one multiply and one divide per candidate.
+coding, Cover 1973). The rank is summed by binary splitting (Haible &
+Papanikolaou 1998), int64 runs first and Python ints after, which takes far
+fewer big-integer operations than one step per symbol. The unrank walks the
+symbols once, with one multiply and one divide per candidate.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from .errors import BudgetError
 
 DEFAULT_COMPOSITION_BUDGET = 5_000_000
-SPLIT_MIN_N = 192  # rank_counted splits from this many symbols on
 SPLIT_RUNS = 16  # runs left for the exact fold that ends a split rank
 MAX_MEMBERS = 2 ** 31 - 1  # member ids, bounds and member classes are int32
 ID_LIMIT_HINT = "member ids are int32, so an index holds fewer than 2^31 members whatever the budget"
@@ -146,36 +143,11 @@ def multiset_sizes(comps: np.ndarray) -> tuple[list[int], np.ndarray]:
     return values, lookup[np.sort(comps, axis=1) @ np.array(weights, dtype=np.int64)]
 
 
-def rank_counted(counts: Sequence[int], seq: np.ndarray, size: int) -> int:
-    """Lexicographic index of a 1-D integer array of 0-based symbols among
-    the permutations of its multiset ``counts``, which the caller took from
-    it; ``size`` is their number, the multinomial of the counts. Short
-    sequences take the per-symbol loop; from ``SPLIT_MIN_N`` symbols on the
-    rank is summed by binary splitting, the same integer."""
-    if len(seq) < SPLIT_MIN_N:
-        return rank_per_symbol(counts, seq.tolist(), size)
-    return rank_binary_split(counts, seq, size)
-
-
-def rank_per_symbol(counts: Sequence[int], sym_idx: Sequence[int], size: int) -> int:
-    """``rank_counted`` by one big-integer step per symbol; the counts must
-    match the sequence."""
-    rem_counts = list(counts)
-    remaining = sum(rem_counts)
-    rank = 0
-    for x in sym_idx:
-        for y in range(x):
-            if rem_counts[y]:
-                rank += size * rem_counts[y] // remaining
-        size = size * rem_counts[x] // remaining
-        rem_counts[x] -= 1
-        remaining -= 1
-    return rank
-
-
-def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int) -> int:
-    """``rank_counted`` by binary splitting (Haible & Papanikolaou
-    1998); the counts must match the int64 sequence ``x``.
+def rank_counted(counts: Sequence[int], x: np.ndarray, size: int) -> int:
+    """Lexicographic index of a 1-D integer array ``x`` of 0-based symbols
+    among the permutations of its multiset ``counts``, which the caller took
+    from it; ``size`` is their number, the multinomial of the counts. It is
+    summed by binary splitting (Haible & Papanikolaou 1998).
 
     At position i, q_i = n - i symbols remain, S_i of them below x_i and p_i
     equal to x_i; with size_i the multinomial of the remaining counts, the
@@ -186,9 +158,8 @@ def rank_binary_split(counts: Sequence[int], x: np.ndarray, size: int) -> int:
     S_i + p_i <= q_i <= n, T <= Q < 2^(len * n.bit_length()), so runs of up
     to ``63 // n.bit_length()`` positions (a power of two) are built in int64
     and longer ones as Python ints, until at most ``SPLIT_RUNS`` runs are
-    left. An exact fold
-    over those (rank += size T / Q, size = size P / Q) keeps the big
-    integers at the width of the rank.
+    left. An exact fold over those (rank += size T / Q, size = size P / Q)
+    keeps the big integers at the width of the rank.
     """
     n = len(x)
     m = len(counts)

@@ -195,7 +195,8 @@ class TestContainerFormat:
         with pytest.raises(ContainerError, match="trailing"):
             containerfmt.unpack(containerfmt.pack(c) + b"\x00")
 
-    # `tscode encode` output, captured before codewords were held as integers
+    # `tscode encode` output, captured before codewords were held as integers;
+    # the n = 256 case before one rank path ran at every n
     @pytest.mark.parametrize("spec_file, mode, symbols, hexdata", [
         ("tern.spec", "quantized", [(i * i + i // 2) % 3 + 1 for i in range(40)],
          "54535a313813e35c1c2446bdebad308b61d5f6405349c85517172e7deba92070509550"
@@ -207,7 +208,12 @@ class TestContainerFormat:
         ("flip.spec", "markov", [(i // 3) % 2 + 1 for i in range(12)],
          "54535a31f9365ceaf89fd3fc4a961a93b4e982300576434e2ca5fc2966ba895d3f5bbb"
          "b6023ff00000000000000001000000000000000000010000000c0000000000000007cc"),
-    ], ids=["quantized", "point", "markov"])
+        ("tern.spec", "quantized", [(i * i + i // 2) % 3 + 1 for i in range(256)],
+         "54535a313813e35c1c2446bdebad308b61d5f6405349c85517172e7deba92070509550"
+         "4e003ff000000000000000020000000000000000000000000000000000000100000000"
+         "00000001766d76d66270952d2a95eeb7f0bd07465765c1d77c4348858072987f56123c"
+         "29f20014101496bc29a0a82464de93414c"),
+    ], ids=["quantized", "point", "markov", "quantized-n256"])
     def test_encode_output_is_pinned(self, workdir, spec_file, mode, symbols, hexdata):
         seq = workdir / "seq.txt"
         seq.write_text(" ".join(map(str, symbols)) + "\n")
@@ -602,8 +608,10 @@ class TestGridValidation:
         ("tern.spec", "quantized", [1, 3, 2, 2, 1], dict(s=math.inf)),
         ("flip.spec", "markov", [2, 2, 1, 2, 1, 1], dict(anchor=(math.nan,))),
         ("flip.spec", "markov", [2, 2, 1, 2, 1, 1], dict(s=1e-300)),
+        ("sqrt2.spec", "point", [1, 3, 2, 2, 1], dict(s=1.0)),
+        ("sqrt2.spec", "point", [1, 3, 2, 2, 1], dict(s=math.nan, anchor=(1e308, 5.0))),
     ], ids=["nan-anchor", "tiny-s", "far-anchor", "inf-s", "markov-nan-anchor",
-            "markov-tiny-s"])
+            "markov-tiny-s", "point-s", "point-grid"])
     def test_decode_refuses_a_forged_grid(self, workdir, capsys, spec, mode, symbols, grid):
         code, cont = self._encode(workdir, spec, symbols, "--mode", mode)
         assert code == 0

@@ -8,19 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tscode import typeclass
 from tscode.codec import BLOCK, ClassOrdering, Codeword
 from tscode.errors import ContainerError
 from tscode.markov import markov_type_index
 from tscode.pointtypes import derive_lattice, point_type_index
 from tscode.quantized import Grid, build_type_index
-from tscode.typeclass import (
-    SPLIT_MIN_N,
-    rank_binary_split,
-    rank_counted,
-    rank_per_symbol,
-    unrank_in_composition,
-)
+from tscode.typeclass import rank_counted, unrank_in_composition
 from conftest import class_id, multinomial
 
 
@@ -90,9 +83,11 @@ class TestCompositionRanking:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_binary_split_equals_per_symbol(self, data):
+    def test_rank_is_in_range_and_inverted_by_unrank(self, data):
+        # the unrank is a bijection on [0, size), so a rank in range that it
+        # maps back to the sequence is the one right rank
         m = data.draw(st.integers(2, 6))
-        n = data.draw(st.sampled_from([1, 2, SPLIT_MIN_N - 1, SPLIT_MIN_N, 2048, 2500])
+        n = data.draw(st.sampled_from([1, 2, 30, 127, 128, 191, 192, 2048, 2500])
                       | st.integers(1, 2500))
         # a zero weight leaves a zero count
         weights = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)
@@ -104,9 +99,8 @@ class TestCompositionRanking:
         order = data.draw(st.sampled_from(["first", "last", "drawn"]))
         if order != "drawn":
             seq = np.sort(seq) if order == "first" else np.sort(seq)[::-1]
-        r = rank_per_symbol(counts, seq.tolist(), size)
-        assert rank_binary_split(counts, seq, size) == r
-        assert rank_counted(counts, seq, size) == r
+        r = rank_counted(counts, seq, size)
+        assert 0 <= r < size
         if order != "drawn":
             assert r == (0 if order == "first" else size - 1)
         assert unrank_in_composition(counts, r, size) == tuple((seq + 1).tolist())
@@ -150,18 +144,16 @@ class TestRankUnrank:
         o = _ordering(bernoulli, 4)
         assert {o.rank((1, 1, 1, 1)), o.rank((2, 2, 2, 2))} == {0, 1}
 
-    def test_bijection_exhaustive(self, bernoulli, ternary, monkeypatch):
-        for split_min_n in (SPLIT_MIN_N, 1):  # 1 forces binary splitting at every n
-            monkeypatch.setattr(typeclass, "SPLIT_MIN_N", split_min_n)
-            for fam, m, nmax in [(bernoulli, 2, 10), (ternary, 3, 6)]:
-                for n in range(1, nmax + 1):
-                    o = _ordering(fam, n)
-                    seen = set()
-                    for xs in product(range(1, m + 1), repeat=n):
-                        r = o.rank(xs)
-                        assert o.unrank(r) == xs
-                        seen.add(r)
-                    assert seen == set(range(m ** n))
+    def test_bijection_exhaustive(self, bernoulli, ternary):
+        for fam, m, nmax in [(bernoulli, 2, 10), (ternary, 3, 6)]:
+            for n in range(1, nmax + 1):
+                o = _ordering(fam, n)
+                seen = set()
+                for xs in product(range(1, m + 1), repeat=n):
+                    r = o.rank(xs)
+                    assert o.unrank(r) == xs
+                    seen.add(r)
+                assert seen == set(range(m ** n))
 
     def test_unrank_inverts_rank_random(self, ternary):
         o = _ordering(ternary, 8)
