@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -221,9 +222,73 @@ def hull_distance(spec: FamilySpec, tau_target) -> float:
     return float(res.fun)
 
 
-def _ball_maximizer(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _float_moments(tau, theta):
+    """psi, mean statistic and statistic covariance at theta by the formulas
+    of ``_moments``, on Python floats: tau is a tuple of rows, theta a list;
+    the covariance is a list of rows."""
+    exps = [_dot(row, theta) for row in tau]
+    shift = max(exps)
+    psi = shift + math.log2(math.fsum([2.0 ** (e - shift) for e in exps]))
+    pmf = [2.0 ** (e - psi) for e in exps]
+    grad = [_dot(pmf, col) for col in zip(*tau)]
+    centered = [[v - mean for v in col] for col, mean in zip(zip(*tau), grad)]
+    cov = [[_dot(pmf, map(mul, cj, ck)) for ck in centered] for cj in centered]
+    return psi, grad, cov
+
+
+def _jacobi_eigh(a):
+    """Eigenvalues and eigenvectors of a small symmetric matrix (a list of
+    rows) by cyclic Jacobi rotations (Golub & Van Loan, Matrix Computations,
+    section 8.5): a list h of eigenvalues, in no particular order, and the
+    rows of an orthogonal q whose column k is the eigenvector of h[k].
+
+    Each rotation zeroes one off-diagonal entry; a sweep visits every pair,
+    and the sweeps stop once no off-diagonal entry exceeds 1e-18 times the
+    largest entry of the input, far below the rounding error of the
+    rotations. Convergence is quadratic, so the cap of 50 sweeps is a guard
+    only.
+    """
+    d = len(a)
+    a = [list(row) for row in a]
+    q = [[float(i == j) for j in range(d)] for i in range(d)]
+    tol = 1e-18 * max(abs(v) for row in a for v in row)
+    for _ in range(50):
+        rotated = False
+        for p in range(d - 1):
+            for r in range(p + 1, d):
+                apr = a[p][r]
+                if abs(apr) <= tol:
+                    continue
+                rotated = True
+                # t = tan of the rotation angle, the smaller root of
+                # t^2 + 2 t zeta - 1 = 0 (GVL Algorithm 8.5.1)
+                zeta = (a[r][r] - a[p][p]) / (2.0 * apr)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for k in range(d):
+                    akp, akr = a[k][p], a[k][r]
+                    a[k][p], a[k][r] = c * akp - s * akr, s * akp + c * akr
+                for k in range(d):
+                    apk, ark = a[p][k], a[r][k]
+                    a[p][k], a[r][k] = c * apk - s * ark, s * apk + c * ark
+                for row in q:
+                    qp, qr = row[p], row[r]
+                    row[p], row[r] = c * qp - s * qr, s * qp + c * qr
+                a[p][r] = a[r][p] = 0.0
+        if not rotated:
+            break
+    return [a[i][i] for i in range(d)], q
+
+
+def _ball_maximizer(hess, b, rho: float) -> list[float]:
     """Maximizer of <b, u> - u^T hess u / 2 over |u| <= rho, hess symmetric
-    positive semidefinite (More & Sorensen 1983).
+    positive semidefinite (More & Sorensen 1983); hess is a list of rows, b
+    and the result are lists.
 
     The unconstrained maximizer is returned when it fits in the ball.
     Otherwise u = (hess + lam I)^-1 b on the sphere, with lam > 0 the root of
@@ -231,26 +296,29 @@ def _ball_maximizer(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     increasing in lam, so Newton started below the root climbs to it
     monotonically.
     """
-    h, q = np.linalg.eigh(hess)
-    h = np.maximum(h, 0.0)
-    c = q.T @ b
-    if h[0] > 0.0:
-        u = c / h
-        if float(np.linalg.norm(u)) <= rho:
-            return q @ u
+    h, q = _jacobi_eigh(hess)
+    h = [max(v, 0.0) for v in h]
+    c = [_dot(col, b) for col in zip(*q)]
+    if min(h) > 0.0:
+        u = [ck / hk for ck, hk in zip(c, h)]
+        if math.hypot(*u) <= rho:
+            return [_dot(row, u) for row in q]
     # |u(lam)| >= |c_i| / (h_i + lam) for every i: the root lies above this
-    lam = max(0.0, float(np.max(np.abs(c) / rho - h)))
+    lam = max(0.0, max(abs(ck) / rho - hk for ck, hk in zip(c, h)))
     for _ in range(_MAX_ITER):
-        den = h + lam
-        u = np.divide(c, den, out=np.zeros_like(c), where=c != 0.0)
-        nrm = float(np.linalg.norm(u))
+        den = [hk + lam for hk in h]
+        u = [ck / dk if ck != 0.0 else 0.0 for ck, dk in zip(c, den)]
+        nrm = math.hypot(*u)
         if nrm <= rho * (1.0 + 1e-15):
             break
-        step = (nrm - rho) / rho * nrm * nrm / float(np.sum(u * u / den))
+        # a zero coordinate adds nothing to |u| nor to its derivative; left
+        # in, it would divide 0 by 0 where h_i + lam is 0
+        step = (nrm - rho) / rho * nrm * nrm / sum(uk * uk / dk for uk, dk in zip(u, den) if uk)
         if step <= 1e-16 * lam:
             break
         lam += step
-    return q @ u * (rho / max(nrm, rho))
+    scale = rho / max(nrm, rho)
+    return [_dot(row, u) * scale for row in q]
 
 
 def _ball_maximizers(hess: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
@@ -303,52 +371,61 @@ def mle(spec: FamilySpec, tau_target) -> np.ndarray:
     exactly over the ball and backtracks along that step until the objective
     rises enough (Armijo); the loop stops when the gradient, less its outward
     radial part on the sphere, is below tolerance.
+
+    The iteration runs on Python floats and solves its d x d eigenproblem by
+    cyclic Jacobi rotations: for the few parameters and symbols of a family
+    here, numpy's per-call dispatch on arrays of length 1 to 3 cost more
+    than the arithmetic it dispatched. ``evaluate`` keeps the numpy moments.
     """
     tau_t = np.atleast_1d(np.asarray(tau_target, dtype=float))
     if tau_t.shape != (spec.d,):
         raise SpecError(f"tau target has shape {tau_t.shape}, expected ({spec.d},)")
-    tau, rho = spec.tau_array, spec.rho_max
-    theta = np.zeros(spec.d)
-    psi, _, grad, cov = _moments(tau, theta)
+    target = tau_t.tolist()
+    tau, rho = spec.tau, spec.rho_max
+    theta = [0.0] * spec.d
+    psi, grad, cov = _float_moments(tau, theta)
     for _ in range(_MAX_ITER):
-        g = tau_t - grad
-        nrm = float(np.linalg.norm(theta))
+        g = [x - mean for x, mean in zip(target, grad)]
+        nrm = math.hypot(*theta)
         on_sphere = nrm >= rho * (1 - 1e-12)
         residual = g
         if on_sphere:
-            radial = float(np.dot(g, theta)) / nrm
+            radial = _dot(g, theta) / nrm
             if radial > 0.0:
-                residual = g - radial * theta / nrm
-        if float(np.linalg.norm(residual)) <= _KKT_TOL:
+                residual = [gk - radial * tk / nrm for gk, tk in zip(g, theta)]
+        kkt = math.hypot(*residual)
+        if kkt <= _KKT_TOL:
             break
-        hess = LN2 * cov
-        step = _ball_maximizer(hess, g + hess @ theta, rho) - theta
-        value = float(np.dot(theta, tau_t)) - psi
-        slope = float(np.dot(g, step))
+        hess = [[LN2 * v for v in row] for row in cov]
+        b = [gk + _dot(row, theta) for gk, row in zip(g, hess)]
+        step = [uk - tk for uk, tk in zip(_ball_maximizer(hess, b, rho), theta)]
+        value = _dot(theta, target) - psi
+        slope = _dot(g, step)
         t = 1.0
         for _ in range(60):
-            cand = theta + t * step
-            c_psi, _, c_grad, c_cov = _moments(tau, cand)
+            cand = [tk + t * sk for tk, sk in zip(theta, step)]
+            c_psi, c_grad, c_cov = _float_moments(tau, cand)
             # the second test accepts a step whose predicted gain is below
             # the rounding error of the objective
-            if (float(np.dot(cand, tau_t)) - c_psi >= value + 1e-4 * t * slope
+            if (_dot(cand, target) - c_psi >= value + 1e-4 * t * slope
                     or t * slope <= 1e-14 * (1.0 + abs(value))):
                 break
             t /= 2.0
         theta, psi, grad, cov = cand, c_psi, c_grad, c_cov
     else:
         raise RuntimeError(
-            "constrained likelihood maximization did not converge; "
+            "constrained likelihood maximization did not converge (KKT residual "
+            f"{kkt:.3g} at statistic target {target}); "
             "the statistic target may be numerically degenerate"
         )
     if not on_sphere:
-        return theta
+        return np.array(theta)
     if hull_distance(spec, tau_t) > _HULL_SLACK:
         raise ValueError(
-            f"statistic target {tau_t.tolist()} lies outside the convex hull "
+            f"statistic target {target} lies outside the convex hull "
             f"of the statistic rows by more than {_HULL_SLACK:g}"
         )
-    return theta / nrm * rho
+    return np.array(theta) / nrm * rho
 
 
 def mle_batch(spec: FamilySpec, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -383,12 +460,13 @@ def mle_batch(spec: FamilySpec, targets) -> tuple[np.ndarray, np.ndarray]:
         radial[on_sphere] = np.sum(g[on_sphere] * theta[on_sphere], axis=1) / nrm[on_sphere]
         outward = radial > 0.0
         residual[outward] -= radial[outward, None] * theta[outward] / nrm[outward, None]
-        done = np.linalg.norm(residual, axis=1) <= _KKT_TOL
+        kkt = np.linalg.norm(residual, axis=1)
+        done = kkt <= _KKT_TOL
         snap = done & on_sphere
         out[active[done]] = theta[done]
         out[active[snap]] = theta[snap] / nrm[snap, None] * rho
         keep = ~done
-        active, tt, g = active[keep], tt[keep], g[keep]
+        active, tt, g, kkt = active[keep], tt[keep], g[keep], kkt[keep]
         theta, psi, grad, cov = theta[keep], psi[keep], grad[keep], cov[keep]
         if not len(active):
             break
@@ -417,7 +495,8 @@ def mle_batch(spec: FamilySpec, targets) -> tuple[np.ndarray, np.ndarray]:
             t[pending] /= 2.0
     if len(active):
         raise RuntimeError(
-            "constrained likelihood maximization did not converge; "
-            "the statistic target may be numerically degenerate"
+            "constrained likelihood maximization did not converge (KKT residual "
+            f"{kkt[0]:.3g} at statistic target {tau_t[active[0]].tolist()}, row "
+            f"{active[0]}); the statistic target may be numerically degenerate"
         )
     return out, _moments_batch(tau, out)[0]

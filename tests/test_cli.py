@@ -610,8 +610,9 @@ class TestGridValidation:
         ("flip.spec", "markov", [2, 2, 1, 2, 1, 1], dict(s=1e-300)),
         ("sqrt2.spec", "point", [1, 3, 2, 2, 1], dict(s=1.0)),
         ("sqrt2.spec", "point", [1, 3, 2, 2, 1], dict(s=math.nan, anchor=(1e308, 5.0))),
+        ("sqrt2.spec", "point", [1, 3, 2, 2, 1], dict(s=-0.0)),
     ], ids=["nan-anchor", "tiny-s", "far-anchor", "inf-s", "markov-nan-anchor",
-            "markov-tiny-s", "point-s", "point-grid"])
+            "markov-tiny-s", "point-s", "point-grid", "point-negative-zero-s"])
     def test_decode_refuses_a_forged_grid(self, workdir, capsys, spec, mode, symbols, grid):
         code, cont = self._encode(workdir, spec, symbols, "--mode", mode)
         assert code == 0

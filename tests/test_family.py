@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tscode import family
 from tscode.errors import SpecError
 from tscode.family import (
     Alphabet,
     FamilySpec,
+    _jacobi_eigh,
     entropy,
     evaluate,
     hull_distance,
@@ -166,6 +168,21 @@ class TestEntropyVarentropy:
             h = float(ev.pmf @ info)
             assert varentropy(ternary, theta) == pytest.approx(second - h * h, abs=1e-12)
 
+    @pytest.mark.parametrize("fixture, theta, bits", [
+        # the README binary spec at its theta_star
+        ("bernoulli", [1.2223924213364479],
+         ("0x1.bca9c6f53897ap+0", "0x1.c3388f8ceaa09p-1", "0x1.415272d294a5ep-2")),
+        # the benchmark's ternary spec at its theta_star
+        ("ternary", [0.6, -0.4],
+         ("0x1.b5fb60a40b3b4p+0", "0x1.8691b2d8100c0p+0", "0x1.5afbc77b9c6b0p-3")),
+    ])
+    def test_rate_path_moments_pinned_to_the_bit(self, request, fixture, theta, bits):
+        # rates, slopes and reports read these values; they must not move in
+        # the last bit when the ML solver changes
+        spec = request.getfixturevalue(fixture)
+        got = (evaluate(spec, theta).psi, entropy(spec, theta), varentropy(spec, theta))
+        assert tuple(v.hex() for v in got) == bits
+
 
 class TestModelEvalInvariants:
     def test_normalization_100_random_thetas(self, ternary):
@@ -297,6 +314,44 @@ class TestMle:
         # while genuinely clamped targets still report the endpoint
         assert mle(fam, [0.75]) == pytest.approx([1.0], abs=0)
         assert mle(fam, [0.25]) == pytest.approx([-1.0], abs=0)
+
+    def test_non_convergence_names_residual_and_target(self, ternary, monkeypatch):
+        monkeypatch.setattr(family, "_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match=r"did not converge \(KKT residual [0-9.e+-]+ "
+                                               r"at statistic target \[0\.5, 0\.25\]\)"):
+            mle(ternary, [0.5, 0.25])
+        with pytest.raises(RuntimeError, match=r"did not converge \(KKT residual [0-9.e+-]+ "
+                                               r"at statistic target \[0\.5, 0\.25\], row 1\)"):
+            mle_batch(ternary, [ternary.tau_array.mean(axis=0), [0.5, 0.25], [0.1, 0.2]])
+
+
+def _symmetric_cases(d):
+    rng = np.random.default_rng(13 + d)
+    for _ in range(50):
+        x = rng.normal(size=(d, d))
+        yield (x + x.T) / 2
+        yield np.diag(rng.normal(size=d))
+        # repeated and zero eigenvalues in a random basis
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        yield q @ np.diag(rng.choice([0.0, 0.0, 1.0, 2.5], size=d)) @ q.T
+    yield np.zeros((d, d))
+    yield np.eye(d)
+    # the nearly singular statistic covariance of a pmf near a vertex, at
+    # the sphere of a rho_max 14 ball
+    fam = FamilySpec.create([[0.0] * d] + np.eye(d).tolist(), rho_max=14.0)
+    for theta in (14.0 * np.eye(d)[0], np.full(d, -14.0 / math.sqrt(d))):
+        yield evaluate(fam, theta).hess_psi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_jacobi_eigh_matches_lapack(d):
+    for a in _symmetric_cases(d):
+        h, q = _jacobi_eigh(a.tolist())
+        h, q = np.asarray(h), np.asarray(q)
+        scale = np.linalg.norm(a, 2)
+        assert np.abs(np.sort(h) - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+        assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-12
+        assert np.abs(q @ np.diag(h) @ q.T - a).max() <= 1e-12 * min(scale, 1.0)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
